@@ -14,7 +14,11 @@
 // control it completely.
 package breaker
 
-import "time"
+import (
+	"time"
+
+	"spatialrepart/internal/splitmix"
+)
 
 // State is the breaker's serving state.
 type State int
@@ -147,17 +151,7 @@ func (b *Breaker) RetryAt() time.Time { return b.retryAt }
 // jittered scales d by a deterministic factor in [0.5, 1.0): full-jitter's
 // thundering-herd protection without full-jitter's nondeterminism.
 func (b *Breaker) jittered(d time.Duration) time.Duration {
-	b.rng = splitmix64(b.rng)
-	f := 0.5 + 0.5*float64(b.rng>>11)/float64(1<<53)
+	b.rng = splitmix.Next(b.rng)
+	f := 0.5 + 0.5*splitmix.Float64(b.rng)
 	return time.Duration(float64(d) * f)
-}
-
-// splitmix64 is the SplitMix64 output function — a tiny, seedable,
-// allocation-free PRNG step (the same generator internal/fault uses).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

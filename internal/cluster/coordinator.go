@@ -3,14 +3,11 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"net/url"
 	"sort"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"spatialrepart/internal/breaker"
@@ -53,8 +50,9 @@ type Config struct {
 	// (defaults 50ms / 5s).
 	InitialBackoff time.Duration
 	MaxBackoff     time.Duration
-	// JitterSeed seeds the deterministic backoff jitter; backend i draws
-	// from stream seed+i (0 = a fixed default).
+	// JitterSeed seeds the deterministic jitter: backend i's backoff draws
+	// from stream seed+i+1 and shed Retry-After hints from stream seed (0 =
+	// a fixed default).
 	JitterSeed int64
 	// Hedge enables hedged reads: once a backend has HedgeMinSamples
 	// recorded successes, a duplicate request launches after its observed
@@ -64,8 +62,9 @@ type Config struct {
 	// (default 8).
 	HedgeMinSamples int
 
-	// MaxInFlight/MaxQueue/QueueWait/RequestTimeout mirror the shard
-	// server's admission envelope (defaults 64/16/100ms/5s).
+	// MaxInFlight/MaxQueue/QueueWait/RequestTimeout configure the request
+	// envelope shared with the shard server (server.Front; defaults
+	// 64/16/100ms/5s).
 	MaxInFlight    int
 	MaxQueue       int
 	QueueWait      time.Duration
@@ -85,36 +84,23 @@ type Config struct {
 	Clock server.Clock
 }
 
-// Coordinator is the cluster's stateless front door. Create with New, mount
-// via Handler or run with Serve, stop with Shutdown. It holds no view state
-// of its own — every response is assembled from live shard responses, so
-// coordinators can be replicated freely.
+// Coordinator is the cluster's stateless front door: the scatter-gather
+// endpoints mounted on the shard server's request envelope (server.Front,
+// prefix "cluster"). Create with New, mount via Handler or run with Serve,
+// stop with Shutdown. It holds no view state of its own — every response is
+// assembled from live shard responses, so coordinators can be replicated
+// freely.
 type Coordinator struct {
+	*server.Front
 	cfg      Config
 	plan     Plan
 	backends []*backend
 	client   *http.Client
 	ownsClnt bool
-	adm      *server.Admission
 	clock    server.Clock
 	obs      *obs.Observer
 	flt      *fault.Injector
-
-	draining atomic.Bool
-	httpSrv  *http.Server
-	mux      *http.ServeMux
-	retryRng atomic.Uint64
 }
-
-// realClock is the production clock (the cluster package injects its time
-// source for the fake-clock chaos suite, same contract as internal/server).
-type realClock struct{}
-
-//spatialvet:ignore clockdirect realClock is the sanctioned bridge to package time
-func (realClock) Now() time.Time { return time.Now() }
-
-//spatialvet:ignore clockdirect realClock is the sanctioned bridge to package time
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // New validates cfg, applies defaults, and returns a ready-to-mount
 // Coordinator.
@@ -152,30 +138,24 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.HedgeMinSamples <= 0 {
 		cfg.HedgeMinSamples = DefaultHedgeMinSamples
 	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = 64
-	}
-	if cfg.MaxQueue <= 0 {
-		cfg.MaxQueue = 16
-	}
-	if cfg.QueueWait <= 0 {
-		cfg.QueueWait = 100 * time.Millisecond
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 5 * time.Second
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = realClock{}
-	}
+	// The front runs with rate limiting off, no access logger and the
+	// default body cap: the coordinator exposes none of those settings.
+	front := server.NewFront("cluster", server.Config{
+		MaxInFlight:          cfg.MaxInFlight,
+		MaxQueue:             cfg.MaxQueue,
+		QueueWait:            cfg.QueueWait,
+		RequestTimeout:       cfg.RequestTimeout,
+		RetryAfter:           cfg.RetryAfter,
+		RetryAfterJitterSeed: cfg.JitterSeed,
+		Obs:                  cfg.Obs,
+		Fault:                cfg.Fault,
+		Clock:                cfg.Clock,
+	})
 	c := &Coordinator{
+		Front: front,
 		cfg:   cfg,
 		plan:  cfg.Plan,
-		adm:   server.NewAdmission(cfg.MaxInFlight, cfg.MaxQueue),
-		clock: clock,
+		clock: front.Clock(),
 		obs:   cfg.Obs,
 		flt:   cfg.Fault,
 	}
@@ -188,7 +168,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	c.retryRng.Store(uint64(seed))
 	for i, base := range cfg.Backends {
 		c.backends = append(c.backends, &backend{
 			index: i,
@@ -196,200 +175,24 @@ func New(cfg Config) (*Coordinator, error) {
 			brk:   breaker.New(cfg.FailureThreshold, cfg.InitialBackoff, cfg.MaxBackoff, seed+int64(i)+1),
 		})
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", c.probe(c.handleHealthz))
-	mux.HandleFunc("/readyz", c.probe(c.handleReadyz))
-	mux.HandleFunc("/view", c.query("/view", c.handleView))
-	mux.HandleFunc("/stats", c.query("/stats", c.handleStats))
-	mux.HandleFunc("/cell", c.query("/cell", c.handleCell))
-	mux.HandleFunc("/group", c.query("/group", c.handleGroup))
-	c.mux = mux
+	c.HandleProbe("/healthz", c.handleHealthz)
+	c.HandleProbe("/readyz", c.handleReadyz)
+	c.HandleQuery("/view", c.handleView)
+	c.HandleQuery("/stats", c.handleStats)
+	c.HandleQuery("/cell", c.handleCell)
+	c.HandleQuery("/group", c.handleGroup)
 	return c, nil
 }
 
-// Handler returns the coordinator's HTTP handler.
-func (c *Coordinator) Handler() http.Handler { return c.mux }
-
-// Serve binds addr, starts the hardened HTTP server in the background, and
-// returns the bound address. Stop with Shutdown.
-func (c *Coordinator) Serve(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("cluster: listen %s: %w", addr, err)
-	}
-	srv := obs.HardenedServer(c.Handler())
-	c.httpSrv = srv
-	//spatialvet:ignore goroleak Serve blocks until the listener closes; Shutdown stops it and awaits in-flight requests
-	go func() { _ = srv.Serve(ln) }() //spatialvet:ignore errdrop Serve returns ErrServerClosed on shutdown; Shutdown owns the lifecycle
-	return ln.Addr().String(), nil
-}
-
-// Shutdown drains the coordinator gracefully within ctx's deadline: new
-// requests shed 503 draining, in-flight requests finish, the listener
-// closes, and the owned client's idle backend connections are released.
+// Shutdown drains the coordinator's front gracefully within ctx's deadline
+// (see server.Front.Shutdown), then releases the owned client's idle
+// backend connections.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
-	start := c.clock.Now()
-	c.draining.Store(true)
-	c.obs.SetGauge("cluster.draining", 1)
-	c.adm.BeginDrain()
-	drainErr := c.adm.AwaitDrained(ctx)
-	c.obs.SetGauge("cluster.drain_ns", float64(c.clock.Now().Sub(start).Nanoseconds()))
-	if c.httpSrv != nil {
-		if drainErr != nil {
-			c.httpSrv.Close() //spatialvet:ignore errdrop forced close after a blown drain deadline; the deadline error is the one reported
-		} else if err := c.httpSrv.Shutdown(ctx); err != nil {
-			c.httpSrv.Close() //spatialvet:ignore errdrop forced close fallback; the Shutdown error is the one reported
-			drainErr = err
-		}
-	}
+	err := c.Front.Shutdown(ctx)
 	if c.ownsClnt {
 		c.client.CloseIdleConnections()
 	}
-	return drainErr
-}
-
-// handlerFunc is a coordinator handler: it returns taxonomy errors instead
-// of writing statuses itself, mirroring internal/server.
-type handlerFunc func(w http.ResponseWriter, r *http.Request) error
-
-// statusWriter captures the written status for the RED metrics.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// probe wraps /healthz and /readyz: panic isolation and a method check only
-// — probes bypass admission so they keep answering under overload.
-func (c *Coordinator) probe(h handlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
-		defer c.recoverRequest(sw)
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			server.WriteError(sw, server.ErrMethodNotAllowed.WithDetail("%s not allowed", r.Method))
-			return
-		}
-		if err := h(sw, r); err != nil {
-			server.WriteError(sw, err)
-		}
-	}
-}
-
-// query wraps a handler in the coordinator's robustness envelope: trace
-// adoption + cluster.request span, panic isolation, method check, admission
-// control with graceful-drain semantics, per-request deadline, and the
-// cluster.request fault point.
-func (c *Coordinator) query(route string, h handlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
-		c.obs.Count("cluster.requests", 1)
-
-		ctx := r.Context()
-		if tc, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
-			ctx = obs.ContextWithTrace(ctx, tc)
-		}
-		ctx, sp := c.obs.StartSpanCtx(ctx, "cluster.request", "route", route) //spatialvet:ignore spanend ended by the deferred finish below, which needs the final status first
-		if tc, ok := obs.TraceFromContext(ctx); ok {
-			sw.Header().Set("traceparent", tc.Traceparent())
-		}
-		start := c.clock.Now()
-		defer func() { c.finishRequest(sw, route, sp, start) }()
-		defer c.recoverRequest(sw)
-
-		if r.Method != http.MethodGet {
-			server.WriteError(sw, server.ErrMethodNotAllowed.WithDetail("%s not allowed; query endpoints are GET-only", r.Method))
-			return
-		}
-
-		ctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
-		defer cancel()
-		r = r.WithContext(ctx)
-
-		if _, err := c.adm.Admit(ctx, c.clock, c.cfg.QueueWait); err != nil {
-			c.obs.Count("cluster.shed", 1)
-			server.WriteError(sw, c.attachRetryAfter(err))
-			return
-		}
-		defer c.adm.Release()
-
-		if ferr := c.flt.Hit("cluster.request"); ferr != nil {
-			server.WriteError(sw, ferr)
-			return
-		}
-		if err := h(sw, r); err != nil {
-			if ctx.Err() != nil {
-				err = server.ErrTimeout.WithDetail("request deadline (%v) expired: %v", c.cfg.RequestTimeout, err)
-			}
-			server.WriteError(sw, err)
-		}
-	}
-}
-
-// finishRequest ends the request span and records the RED route×status
-// series.
-func (c *Coordinator) finishRequest(sw *statusWriter, route string, sp obs.Span, start time.Time) {
-	status := sw.status
-	if status == 0 {
-		status = http.StatusOK
-	}
-	code := strconv.Itoa(status)
-	if c.obs.Enabled() {
-		c.obs.Count(obs.FoldLabels("cluster.http.requests", []string{route, code}), 1)
-		if status >= 500 {
-			c.obs.Count(obs.FoldLabels("cluster.http.errors", []string{route, code}), 1)
-		}
-		c.obs.Observe(obs.FoldLabels("cluster.http.latency_ns", []string{route, code}), float64(c.clock.Now().Sub(start).Nanoseconds()))
-	}
-	if sp.Traced() {
-		sp.End("status", code)
-	} else {
-		sp.End()
-	}
-}
-
-// recoverRequest converts a handler panic into a 500 on this one request.
-func (c *Coordinator) recoverRequest(sw *statusWriter) {
-	if rec := recover(); rec != nil {
-		c.obs.Count("cluster.panics", 1)
-		server.WriteError(sw, server.ErrInternal.WithDetail("handler panicked: %v", rec))
-	}
-}
-
-// attachRetryAfter decorates shed errors with a jittered Retry-After hint in
-// [RetryAfter/2, RetryAfter), drawn from the coordinator's seeded SplitMix64
-// stream — the same de-synchronization the shards apply to their own sheds.
-func (c *Coordinator) attachRetryAfter(err error) error {
-	var se *server.Error
-	if !errors.As(err, &se) || se.RetryAfter != 0 {
-		return err
-	}
-	if se.Status != http.StatusServiceUnavailable {
-		return err
-	}
-	x := c.retryRng.Add(0x9e3779b97f4a7c15)
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	f := 0.5 + 0.5*float64(z>>11)/float64(1<<53)
-	cp := *se
-	cp.RetryAfter = time.Duration(float64(c.cfg.RetryAfter) * f)
-	return &cp
-}
-
-// writeJSON writes v as the 200 response body.
-func writeJSON(w http.ResponseWriter, v any) error {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		return fmt.Errorf("cluster: encoding response: %w", err)
-	}
-	return nil
+	return err
 }
 
 // ---- probe endpoints -------------------------------------------------------
@@ -402,7 +205,7 @@ type HealthBody struct {
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) error {
-	return writeJSON(w, HealthBody{Status: "ok", Shards: len(c.backends), Draining: c.draining.Load()})
+	return server.WriteJSON(w, HealthBody{Status: "ok", Shards: len(c.backends), Draining: c.Draining()})
 }
 
 // ShardReady is one shard's entry in the cluster readiness body.
@@ -469,7 +272,7 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) error
 		}
 	}
 	switch {
-	case c.draining.Load():
+	case c.Draining():
 		out.Ready, out.Reason = false, "draining"
 	case readyCount == 0:
 		out.Ready, out.Reason = false, "no shard ready"
@@ -635,7 +438,7 @@ func (c *Coordinator) handleView(w http.ResponseWriter, r *http.Request) error {
 	if r.Context().Err() != nil {
 		return server.ErrTimeout.WithDetail("deadline expired before the stitched view was written")
 	}
-	return writeJSON(w, body)
+	return server.WriteJSON(w, body)
 }
 
 // ShardStats is one shard's entry in the cluster /stats response: the
@@ -683,7 +486,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) error 
 		degradedWarning(w)
 	}
 	sort.Ints(out.MissingShards)
-	return writeJSON(w, out)
+	return server.WriteJSON(w, out)
 }
 
 // routeCell parses and validates the global row/col query parameters and
@@ -743,7 +546,7 @@ func (c *Coordinator) handleCell(w http.ResponseWriter, r *http.Request) error {
 	}
 	cb.Group.RowBegin += band.Row0
 	cb.Group.RowEnd += band.Row0
-	return writeJSON(w, CellBody{Row: row, Col: col, Shard: b.index, Group: cb.Group})
+	return server.WriteJSON(w, CellBody{Row: row, Col: col, Shard: b.index, Group: cb.Group})
 }
 
 // GroupQueryBody is the coordinator /group response.
@@ -778,7 +581,7 @@ func (c *Coordinator) handleGroup(w http.ResponseWriter, r *http.Request) error 
 	}
 	cb.Group.RowBegin += band.Row0
 	cb.Group.RowEnd += band.Row0
-	return writeJSON(w, GroupQueryBody{Shard: b.index, Group: cb.Group})
+	return server.WriteJSON(w, GroupQueryBody{Shard: b.index, Group: cb.Group})
 }
 
 // passthrough relays a shard's non-200 answer (status and JSON body) to the

@@ -9,10 +9,13 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"spatialrepart/internal/grid"
+	"spatialrepart/internal/obs"
 	"spatialrepart/internal/server"
 	"spatialrepart/internal/stream"
 	"spatialrepart/internal/testutil"
@@ -472,6 +475,116 @@ func TestDrainingCoordinator(t *testing.T) {
 	tc.coord.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("draining /readyz status %d, want 503", rec.Code)
+	}
+}
+
+// TestCoordinatorShedAccounting overloads a one-slot coordinator and drains
+// it mid-burst: one request holds the slot (blocked at its shard), one
+// queues, one finds the queue full, the drain rejects the queued one, and a
+// late arrival meets the closed gate. The shed and admitted counters must
+// reconcile exactly with the 503s and 200s the clients saw.
+func TestCoordinatorShedAccounting(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	obsv := obs.New()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var blocked atomic.Bool
+	tc := startCluster(t, 4, 4, 1, testRecords(rng, testBounds(), 50), func(cfg *Config) {
+		cfg.MaxInFlight, cfg.MaxQueue = 1, 1
+		cfg.QueueWait, cfg.RequestTimeout = 30*time.Second, 30*time.Second
+		cfg.Obs = obsv
+	}, func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/cell" && blocked.CompareAndSwap(false, true) {
+				close(entered)
+				<-release
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	reg := obsv.Registry()
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock() // a failed assertion must not leave the holder blocked
+
+	// get issues one /cell query and reports its status and error code.
+	type answer struct {
+		status int
+		code   string
+	}
+	get := func() <-chan answer {
+		ch := make(chan answer, 1)
+		go func() {
+			resp, err := http.Get(tc.front.URL + "/cell?row=1&col=1")
+			if err != nil {
+				ch <- answer{code: err.Error()}
+				return
+			}
+			defer resp.Body.Close()
+			var eb struct {
+				Code string `json:"error"`
+			}
+			json.NewDecoder(resp.Body).Decode(&eb)
+			ch <- answer{resp.StatusCode, eb.Code}
+		}()
+		return ch
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	holder := get() // takes the only slot, blocked at its shard
+	<-entered
+	queued := get() // waits in the one queue place
+	waitFor("the second request to queue", func() bool { return reg.Counter("cluster.queued").Value() == 1 })
+	full := <-get() // queue full: shed at once
+	drained := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		drained <- tc.coord.Shutdown(ctx)
+	}()
+	rejected := <-queued // the drain rejects the waiter, so admission is now shut
+	late := <-get()
+	unblock()
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+	answers := []answer{<-holder, rejected, full, late}
+
+	var ok200, capacity503, draining503 int64
+	for _, a := range answers {
+		switch {
+		case a.status == http.StatusOK:
+			ok200++
+		case a.status == http.StatusServiceUnavailable && a.code == "overloaded":
+			capacity503++
+		case a.status == http.StatusServiceUnavailable && a.code == "draining":
+			draining503++
+		default:
+			t.Fatalf("unexpected answer %+v", a)
+		}
+	}
+	if ok200 != 1 || capacity503 != 1 || draining503 != 2 {
+		t.Fatalf("answers %+v: %d×200, %d overloaded, %d draining; want 1/1/2", answers, ok200, capacity503, draining503)
+	}
+	for name, want := range map[string]int64{
+		"cluster.admitted":      ok200,
+		"cluster.shed_capacity": capacity503,
+		"cluster.shed_draining": draining503,
+		"cluster.shed_timeout":  0,
+		"cluster.shed":          capacity503 + draining503,
+		"cluster.requests":      int64(len(answers)),
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 

@@ -20,6 +20,8 @@ import (
 	"hash/fnv"
 	"sync"
 	"time"
+
+	"spatialrepart/internal/splitmix"
 )
 
 // ErrInjected is the error Hit returns for a fired plan that specifies no
@@ -84,7 +86,7 @@ func (in *Injector) Set(name string, p Plan) {
 	defer in.mu.Unlock()
 	h := fnv.New64a()
 	h.Write([]byte(name))
-	in.points[name] = &point{plan: p, rng: splitmix64(in.seed ^ h.Sum64())}
+	in.points[name] = &point{plan: p, rng: splitmix.Next(in.seed ^ h.Sum64())}
 }
 
 // Hit consults the named point: if the point is unarmed (or the injector is
@@ -111,8 +113,8 @@ func (in *Injector) hit(name string) error {
 	fire := i >= int64(pt.plan.First) &&
 		(pt.plan.Count < 0 || i < int64(pt.plan.First)+int64(pt.plan.Count))
 	if !fire && pt.plan.Prob > 0 {
-		pt.rng = splitmix64(pt.rng)
-		fire = float64(pt.rng>>11)/float64(1<<53) < pt.plan.Prob
+		pt.rng = splitmix.Next(pt.rng)
+		fire = splitmix.Float64(pt.rng) < pt.plan.Prob
 	}
 	if !fire {
 		in.mu.Unlock()
@@ -150,14 +152,4 @@ func (in *Injector) Stats(name string) (hits, fired int64) {
 		return pt.hits, pt.fired
 	}
 	return 0, 0
-}
-
-// splitmix64 is the SplitMix64 output function — a tiny, seedable,
-// allocation-free PRNG step.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"sync/atomic"
 	"time"
+
+	"spatialrepart/internal/splitmix"
 )
 
 // This file is the request-scoped half of the instrumentation layer
@@ -124,11 +126,7 @@ type idGen struct {
 
 // next is one SplitMix64 step over the shared atomic state.
 func (g *idGen) next() uint64 {
-	x := g.state.Add(0x9e3779b97f4a7c15)
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return splitmix.Mix(g.state.Add(splitmix.Gamma))
 }
 
 // traceID returns a fresh non-zero trace identifier.

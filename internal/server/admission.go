@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Admission is the bounded-concurrency gate in front of every query handler:
+// admission is the bounded-concurrency gate in front of every query handler:
 // at most maxInFlight requests execute at once, at most maxQueue more wait
 // for a slot, and every waiter carries a deadline (the configured queue wait,
 // clipped by the request's own context). Anything beyond that is shed
@@ -17,7 +17,7 @@ import (
 // Draining flips the gate shut: nothing new is admitted, queued waiters are
 // rejected, and the drained channel closes once the last in-flight request
 // releases — that is the graceful-shutdown barrier.
-type Admission struct {
+type admission struct {
 	mu          sync.Mutex
 	maxInFlight int
 	maxQueue    int
@@ -40,8 +40,8 @@ type waiter struct {
 	ch chan bool
 }
 
-func NewAdmission(maxInFlight, maxQueue int) *Admission {
-	return &Admission{
+func newAdmission(maxInFlight, maxQueue int) *admission {
+	return &admission{
 		maxInFlight: maxInFlight,
 		maxQueue:    maxQueue,
 		drained:     make(chan struct{}),
@@ -51,7 +51,7 @@ func NewAdmission(maxInFlight, maxQueue int) *Admission {
 // Admit blocks until the request holds an in-flight slot, or sheds it.
 // queued reports whether the request had to wait (for metrics). The caller
 // must pair a nil return with exactly one Release().
-func (a *Admission) Admit(ctx context.Context, clock Clock, maxWait time.Duration) (queued bool, err error) {
+func (a *admission) Admit(ctx context.Context, clock Clock, maxWait time.Duration) (queued bool, err error) {
 	a.mu.Lock()
 	if a.draining {
 		a.mu.Unlock()
@@ -105,7 +105,7 @@ func (a *Admission) Admit(ctx context.Context, clock Clock, maxWait time.Duratio
 
 // removeWaiter unlinks w from the queue, reporting whether it was still
 // queued. Caller holds a.mu.
-func (a *Admission) removeWaiter(w *waiter) bool {
+func (a *admission) removeWaiter(w *waiter) bool {
 	for i, q := range a.waiters {
 		if q == w {
 			a.waiters = append(a.waiters[:i], a.waiters[i+1:]...)
@@ -118,7 +118,7 @@ func (a *Admission) removeWaiter(w *waiter) bool {
 // Release returns an in-flight slot. If a waiter is queued (and the server is
 // not draining) the slot transfers directly — the in-flight count never dips,
 // so shedding decisions stay exact under handoff races.
-func (a *Admission) Release() {
+func (a *admission) Release() {
 	a.mu.Lock()
 	if !a.draining && len(a.waiters) > 0 {
 		w := a.waiters[0]
@@ -135,7 +135,7 @@ func (a *Admission) Release() {
 // BeginDrain shuts the gate: future admits fail with ErrDraining and every
 // queued waiter is rejected now (they hold no slot, so completing them is
 // not part of the drain contract — only admitted requests are).
-func (a *Admission) BeginDrain() {
+func (a *admission) BeginDrain() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.draining {
@@ -151,7 +151,7 @@ func (a *Admission) BeginDrain() {
 
 // checkDrainedLocked closes the drain barrier once the last admitted request
 // has released. Caller holds a.mu.
-func (a *Admission) checkDrainedLocked() {
+func (a *admission) checkDrainedLocked() {
 	if a.draining && a.inflight == 0 {
 		select {
 		case <-a.drained:
@@ -163,7 +163,7 @@ func (a *Admission) checkDrainedLocked() {
 
 // AwaitDrained blocks until every admitted request has released, or ctx
 // expires (the drain deadline).
-func (a *Admission) AwaitDrained(ctx context.Context) error {
+func (a *admission) AwaitDrained(ctx context.Context) error {
 	select {
 	case <-a.drained:
 		return nil
@@ -173,7 +173,7 @@ func (a *Admission) AwaitDrained(ctx context.Context) error {
 }
 
 // Depth returns the current in-flight and queued counts (for gauges).
-func (a *Admission) Depth() (inflight, queued int) {
+func (a *admission) Depth() (inflight, queued int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.inflight, len(a.waiters)

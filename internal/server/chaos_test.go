@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"spatialrepart/internal/breaker"
 	"spatialrepart/internal/fault"
 	"spatialrepart/internal/grid"
 	"spatialrepart/internal/obs"
@@ -328,7 +329,7 @@ func breakerOpenStream(t *testing.T) *stream.Repartitioner {
 	if err != nil || !v.Degraded {
 		t.Fatalf("degraded serve: view %+v, err %v", v, err)
 	}
-	if st := s.Stats(); st.Breaker != stream.BreakerOpen {
+	if st := s.Stats(); st.Breaker != breaker.Open {
 		t.Fatalf("breaker %v, want open", st.Breaker)
 	}
 	return s

@@ -5,7 +5,8 @@
 // bounded in-flight limit and a deadline-aware wait queue, token-bucket rate
 // limiting (global and per-client), per-request timeouts and body limits,
 // per-request panic isolation, a structured error taxonomy, liveness vs
-// readiness endpoints, and graceful drain on shutdown.
+// readiness endpoints, and graceful drain on shutdown. The envelope is
+// Front, which the cluster coordinator mounts its own endpoints on too.
 //
 // The design premise is that PR 4's fault tolerance ends at the process
 // boundary unless the serving edge carries it the rest of the way: a
@@ -22,12 +23,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 	"time"
 
+	"spatialrepart/internal/breaker"
 	"spatialrepart/internal/fault"
 	"spatialrepart/internal/obs"
 	"spatialrepart/internal/stream"
@@ -113,29 +113,12 @@ type Config struct {
 	Clock Clock
 }
 
-// Server is the HTTP serving subsystem. Create with New, mount via Handler
-// or run with Serve, stop with Shutdown.
+// Server is the HTTP serving subsystem: the stream's endpoints mounted on
+// the shared request envelope (Front, prefix "server"). Create with New,
+// mount via Handler or run with Serve, stop with Shutdown.
 type Server struct {
-	cfg   Config
-	src   Source
-	adm   *Admission
-	lim   *limiter
-	clock Clock
-	obs   *obs.Observer
-	flt   *fault.Injector
-
-	draining atomic.Bool
-	httpSrv  *http.Server
-	mux      *http.ServeMux
-
-	logger   *slog.Logger
-	logEvery uint64
-	reqSeq   atomic.Uint64
-
-	// retryRng is the SplitMix64 state behind the jittered Retry-After
-	// hints. Advanced with a single atomic add per shed, so concurrent
-	// sheds draw distinct, deterministic values without a lock.
-	retryRng atomic.Uint64
+	*Front
+	src Source
 }
 
 // New validates cfg, applies defaults, and returns a ready-to-mount Server.
@@ -146,316 +129,14 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxInFlight < 0 || cfg.MaxQueue < 0 {
 		return nil, fmt.Errorf("server: negative MaxInFlight/MaxQueue (%d/%d)", cfg.MaxInFlight, cfg.MaxQueue)
 	}
-	if cfg.MaxInFlight == 0 {
-		cfg.MaxInFlight = 64
-	}
-	if cfg.QueueWait <= 0 {
-		cfg.QueueWait = 100 * time.Millisecond
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 5 * time.Second
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
-	}
-	if cfg.MaxQueue == 0 {
-		cfg.MaxQueue = 16
-	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = realClock{}
-	}
-	logEvery := cfg.AccessLogEvery
-	if logEvery <= 0 {
-		logEvery = 1
-	}
-	s := &Server{
-		cfg:      cfg,
-		src:      cfg.Source,
-		adm:      NewAdmission(cfg.MaxInFlight, cfg.MaxQueue),
-		lim:      newLimiter(cfg.RatePerSec, cfg.RateBurst, cfg.ClientRatePerSec, cfg.ClientRateBurst, clock.Now()),
-		clock:    clock,
-		obs:      cfg.Obs,
-		flt:      cfg.Fault,
-		logger:   cfg.Logger,
-		logEvery: uint64(logEvery),
-	}
-	seed := cfg.RetryAfterJitterSeed
-	if seed == 0 {
-		seed = 1
-	}
-	s.retryRng.Store(uint64(seed))
-	s.adm.OnQueued = func() { s.obs.Count("server.queued", 1) }
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.probe(s.handleHealthz))
-	mux.HandleFunc("/readyz", s.probe(s.handleReadyz))
-	mux.HandleFunc("/view", s.query("/view", s.handleView))
-	mux.HandleFunc("/group", s.query("/group", s.handleGroup))
-	mux.HandleFunc("/cell", s.query("/cell", s.handleCell))
-	mux.HandleFunc("/stats", s.query("/stats", s.handleStats))
-	s.mux = mux
+	s := &Server{Front: NewFront("server", cfg), src: cfg.Source}
+	s.HandleProbe("/healthz", s.handleHealthz)
+	s.HandleProbe("/readyz", s.handleReadyz)
+	s.HandleQuery("/view", s.handleView)
+	s.HandleQuery("/group", s.handleGroup)
+	s.HandleQuery("/cell", s.handleCell)
+	s.HandleQuery("/stats", s.handleStats)
 	return s, nil
-}
-
-// Handler returns the server's HTTP handler (probe endpoints unguarded,
-// query endpoints wrapped in the full robustness envelope).
-func (s *Server) Handler() http.Handler { return s.mux }
-
-// Serve binds addr (e.g. ":8080" or "127.0.0.1:0"), starts the hardened HTTP
-// server in a background goroutine, and returns the bound address. Stop it
-// with Shutdown.
-func (s *Server) Serve(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("server: listen %s: %w", addr, err)
-	}
-	srv := obs.HardenedServer(s.Handler())
-	s.httpSrv = srv
-	//spatialvet:ignore goroleak Serve blocks until the listener closes; Shutdown stops it and awaits in-flight requests
-	go func() { _ = srv.Serve(ln) }() //spatialvet:ignore errdrop Serve returns ErrServerClosed on shutdown; Shutdown owns the lifecycle
-	return ln.Addr().String(), nil
-}
-
-// Shutdown drains the server gracefully: admission shuts (new requests get
-// 503 draining, queued waiters are rejected), readiness flips to not-ready,
-// every already-admitted request runs to completion, and the listener closes
-// — all within ctx's deadline. If the deadline expires with requests still
-// in flight the remaining connections are closed forcibly and the deadline
-// error is returned. The drain duration lands in the server.drain_ns gauge.
-func (s *Server) Shutdown(ctx context.Context) error {
-	start := s.clock.Now()
-	s.draining.Store(true)
-	s.obs.SetGauge("server.draining", 1)
-	s.adm.BeginDrain()
-	drainErr := s.adm.AwaitDrained(ctx)
-	s.obs.SetGauge("server.drain_ns", float64(s.clock.Now().Sub(start).Nanoseconds()))
-	if s.httpSrv != nil {
-		if drainErr != nil {
-			s.httpSrv.Close() //spatialvet:ignore errdrop forced close after a blown drain deadline; the deadline error is the one reported
-		} else if err := s.httpSrv.Shutdown(ctx); err != nil {
-			s.httpSrv.Close() //spatialvet:ignore errdrop forced close fallback; the Shutdown error is the one reported
-			return err
-		}
-	}
-	return drainErr
-}
-
-// handlerFunc is a query handler: it returns an error from the taxonomy (or
-// any error, mapped to 500) instead of writing statuses itself.
-type handlerFunc func(w http.ResponseWriter, r *http.Request) error
-
-// probe wraps the liveness/readiness endpoints: panic isolation and a method
-// check only — probes must keep answering while the query path sheds load,
-// so they bypass rate limiting and admission entirely.
-func (s *Server) probe(h handlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
-		defer s.recoverRequest(sw)
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			WriteError(sw, ErrMethodNotAllowed.WithDetail("%s not allowed", r.Method))
-			return
-		}
-		if err := h(sw, r); err != nil {
-			WriteError(sw, err)
-		}
-	}
-}
-
-// query wraps a handler in the full robustness envelope, outermost first:
-// request accounting (span, RED metrics, access log), panic isolation, method
-// check, body cap, rate limiting, per-request deadline, admission control,
-// fault injection, then the handler. route is the static endpoint label used
-// for the per-route×status series, so metric cardinality stays bounded by the
-// route table, not by request URLs.
-func (s *Server) query(route string, h handlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w}
-		s.obs.Count("server.requests", 1)
-
-		// Adopt an inbound W3C traceparent (or start a fresh trace) and open
-		// the request's root span. The response echoes the request's own
-		// trace context so callers can find it in /debug/traces.
-		ctx := r.Context()
-		if tc, ok := obs.ParseTraceparent(r.Header.Get("traceparent")); ok {
-			ctx = obs.ContextWithTrace(ctx, tc)
-		}
-		ctx, sp := s.obs.StartSpanCtx(ctx, "server.request", "route", route) //spatialvet:ignore spanend ended by the deferred finishRequest below, which needs the final status first
-		if tc, ok := obs.TraceFromContext(ctx); ok {
-			sw.Header().Set("traceparent", tc.Traceparent())
-		}
-		start := s.clock.Now()
-		shed := ""
-		// finish must be registered BEFORE the recover so panic unwinding
-		// recovers (writing the 500) first and accounting sees that status.
-		defer func() { s.finishRequest(sw, route, shed, sp, start) }()
-		defer s.recoverRequest(sw)
-
-		if r.Method != http.MethodGet {
-			WriteError(sw, ErrMethodNotAllowed.WithDetail("%s not allowed; query endpoints are GET-only", r.Method))
-			return
-		}
-		r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
-
-		if ok, wait := s.lim.allow(clientKey(r), s.clock.Now()); !ok {
-			s.obs.Count("server.rate_limited", 1)
-			shed = "rate_limited"
-			WriteError(sw, ErrRateLimited.
-				WithDetail("token bucket empty; retry after %v", wait).
-				withRetryAfter(wait))
-			return
-		}
-
-		ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-		r = r.WithContext(ctx)
-
-		queued, err := s.adm.Admit(ctx, s.clock, s.cfg.QueueWait)
-		if err != nil {
-			shed = s.countShed(queued, err)
-			WriteError(sw, s.attachRetryAfter(err))
-			return
-		}
-		defer s.adm.Release()
-		s.obs.Count("server.admitted", 1)
-		inflight, qdepth := s.adm.Depth()
-		s.obs.SetGauge("server.inflight", float64(inflight))
-		s.obs.SetGauge("server.queue_depth", float64(qdepth))
-
-		if ferr := s.flt.Hit("server.request"); ferr != nil {
-			WriteError(sw, asError(ferr))
-			return
-		}
-		if err := h(sw, r); err != nil {
-			if ctx.Err() != nil {
-				err = ErrTimeout.WithDetail("request deadline (%v) expired: %v", s.cfg.RequestTimeout, err)
-			}
-			WriteError(sw, err)
-		}
-	}
-}
-
-// finishRequest closes out one query request: it ends the server.request span
-// (status and shed reason become span attributes), records the RED
-// route×status series, and emits the sampled structured access log line.
-func (s *Server) finishRequest(sw *statusWriter, route, shed string, sp obs.Span, start time.Time) {
-	status := sw.status
-	if status == 0 {
-		status = http.StatusOK
-	}
-	elapsed := s.clock.Now().Sub(start)
-	code := strconv.Itoa(status)
-	if s.obs.Enabled() {
-		s.obs.Count(obs.FoldLabels("server.http.requests", []string{route, code}), 1)
-		if status >= 500 {
-			s.obs.Count(obs.FoldLabels("server.http.errors", []string{route, code}), 1)
-		}
-		s.obs.Observe(obs.FoldLabels("server.http.latency_ns", []string{route, code}), float64(elapsed.Nanoseconds()))
-	}
-	if sp.Traced() {
-		sp.End("status", code, "shed", shed)
-	} else {
-		sp.End()
-	}
-	if s.logger == nil {
-		return
-	}
-	if n := s.reqSeq.Add(1); (n-1)%s.logEvery != 0 {
-		return
-	}
-	traceID := ""
-	if tc, ok := obs.ParseTraceparent(sw.Header().Get("traceparent")); ok {
-		traceID = tc.TraceID.String()
-	}
-	s.logger.Info("request",
-		slog.String("trace_id", traceID),
-		slog.String("route", route),
-		slog.Int("status", status),
-		slog.String("shed", shed),
-		slog.Duration("latency", elapsed),
-	)
-}
-
-// recoverRequest converts a handler panic into a 500 on this one request:
-// the goroutine's damage stays contained, the counter records it, and every
-// other request proceeds untouched.
-func (s *Server) recoverRequest(sw *statusWriter) {
-	if rec := recover(); rec != nil {
-		s.obs.Count("server.panics", 1)
-		WriteError(sw, ErrInternal.WithDetail("handler panicked: %v", rec))
-	}
-}
-
-// countShed records which kind of shed occurred and returns its label (the
-// span attribute / access-log shed reason).
-func (s *Server) countShed(queued bool, err error) string {
-	reason := "capacity"
-	switch {
-	case is(err, ErrDraining):
-		reason = "draining"
-		s.obs.Count("server.shed_draining", 1)
-	case queued:
-		reason = "queue_timeout"
-		s.obs.Count("server.shed_timeout", 1)
-	default:
-		s.obs.Count("server.shed_capacity", 1)
-	}
-	s.obs.Count("server.shed", 1)
-	return reason
-}
-
-// attachRetryAfter decorates shed errors with a jittered Retry-After hint;
-// other errors pass through. Each shed draws a deterministic factor in
-// [0.5, 1.0) from the server's seeded SplitMix64 stream, spreading the
-// moment a synchronized burst of shed clients comes back.
-func (s *Server) attachRetryAfter(err error) error {
-	se := asError(err)
-	if (is(se, ErrOverloaded) || is(se, ErrDraining)) && se.RetryAfter == 0 {
-		return se.withRetryAfter(s.jitteredRetryAfter())
-	}
-	return err
-}
-
-// jitteredRetryAfter scales the configured Retry-After by the next factor in
-// [0.5, 1.0) of the seeded jitter stream.
-func (s *Server) jitteredRetryAfter() time.Duration {
-	// SplitMix64: an atomic add of the Weyl constant advances the stream;
-	// the mix function turns the state into the output. Concurrent sheds
-	// each get a distinct draw, and the sequence is seed-deterministic.
-	x := s.retryRng.Add(0x9e3779b97f4a7c15)
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	f := 0.5 + 0.5*float64(z>>11)/float64(1<<53)
-	return time.Duration(float64(s.cfg.RetryAfter) * f)
-}
-
-// is reports whether err matches the sentinel by Code.
-func is(err error, sentinel *Error) bool {
-	se := asError(err)
-	return se.Code == sentinel.Code
-}
-
-// clientKey extracts the rate-limiting key (remote IP without port).
-func clientKey(r *http.Request) string {
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		return r.RemoteAddr
-	}
-	return host
-}
-
-// writeJSON writes v as the 200 response.
-func writeJSON(w http.ResponseWriter, v any) error {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(v); err != nil {
-		return fmt.Errorf("encoding response: %w", err)
-	}
-	return nil
 }
 
 // ---- probe endpoints -------------------------------------------------------
@@ -471,7 +152,7 @@ type HealthBody struct {
 // its dependency is failing only amplifies an outage; that signal belongs to
 // readiness.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) error {
-	return writeJSON(w, HealthBody{Status: "ok", Draining: s.draining.Load()})
+	return WriteJSON(w, HealthBody{Status: "ok", Draining: s.Draining()})
 }
 
 // ReadyBody is the /readyz response.
@@ -496,11 +177,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) error {
 		Gen:     st.Generation,
 	}
 	switch {
-	case s.draining.Load():
+	case s.Draining():
 		body.Ready, body.Reason = false, "draining"
 	case !st.HasView:
 		body.Ready, body.Reason = false, "no view produced yet"
-	case st.Breaker == stream.BreakerOpen:
+	case st.Breaker == breaker.Open:
 		body.Ready, body.Reason = false, "stream circuit breaker open"
 		body.Degraded = true
 	}
@@ -573,7 +254,7 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) error {
 	if r.Context().Err() != nil {
 		return ErrTimeout.WithDetail("deadline expired before the view was written")
 	}
-	return writeJSON(w, out)
+	return WriteJSON(w, out)
 }
 
 // handleGroup serves one cell-group: GET /group?id=N.
@@ -589,7 +270,7 @@ func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) error {
 	if id < 0 || id >= v.NumGroups() {
 		return ErrNotFound.WithDetail("group %d outside [0, %d)", id, v.NumGroups())
 	}
-	return writeJSON(w, GroupBodyOf(v, id))
+	return WriteJSON(w, GroupBodyOf(v, id))
 }
 
 // CellBody is the /cell response: the group containing one grid cell.
@@ -619,12 +300,12 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) error {
 	if row < 0 || row >= p.Rows || col < 0 || col >= p.Cols {
 		return ErrNotFound.WithDetail("cell (%d,%d) outside the %dx%d grid", row, col, p.Rows, p.Cols)
 	}
-	return writeJSON(w, CellBody{Row: row, Col: col, Group: GroupBodyOf(v, p.GroupOf(row, col))})
+	return WriteJSON(w, CellBody{Row: row, Col: col, Group: GroupBodyOf(v, p.GroupOf(row, col))})
 }
 
 // handleStats serves the stream's machine-readable report: GET /stats.
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) error {
-	return writeJSON(w, s.src.Report())
+	return WriteJSON(w, s.src.Report())
 }
 
 // ViewBodyOf projects a served view into its wire form — the single

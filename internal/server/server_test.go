@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"spatialrepart/internal/breaker"
 	"spatialrepart/internal/core"
 	"spatialrepart/internal/obs"
 	"spatialrepart/internal/stream"
@@ -177,7 +178,7 @@ func TestReadyzStates(t *testing.T) {
 
 	// Breaker open: not ready (degraded view may still serve).
 	src.mu.Lock()
-	src.stats.Breaker = stream.BreakerOpen
+	src.stats.Breaker = breaker.Open
 	src.mu.Unlock()
 	status, _, body = get(t, ts.URL+"/readyz")
 	if status != http.StatusServiceUnavailable || body["reason"] != "stream circuit breaker open" {
@@ -186,7 +187,7 @@ func TestReadyzStates(t *testing.T) {
 
 	// Draining: not ready; healthz stays ok.
 	src.mu.Lock()
-	src.stats.Breaker = stream.BreakerClosed
+	src.stats.Breaker = breaker.Closed
 	src.mu.Unlock()
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
@@ -231,7 +232,7 @@ func TestViewEndpoint(t *testing.T) {
 func TestDegradedViewServesWithWarning(t *testing.T) {
 	src := &stubSource{
 		view:  testView(7, true),
-		stats: stream.Stats{HasView: true, Generation: 7, Breaker: stream.BreakerOpen},
+		stats: stream.Stats{HasView: true, Generation: 7, Breaker: breaker.Open},
 	}
 	_, ts := newTestServer(t, Config{Source: src})
 	status, hdr, body := get(t, ts.URL+"/view")
@@ -386,7 +387,7 @@ func TestLimiterPrunesIdleClients(t *testing.T) {
 }
 
 func TestAdmissionQueueHandoff(t *testing.T) {
-	a := NewAdmission(1, 1)
+	a := newAdmission(1, 1)
 	clock := realClock{}
 	if q, err := a.Admit(context.Background(), clock, time.Second); err != nil || q {
 		t.Fatalf("first admit: queued=%v err=%v", q, err)
@@ -425,7 +426,7 @@ func TestAdmissionQueueHandoff(t *testing.T) {
 }
 
 func TestAdmissionCanceledWhileQueued(t *testing.T) {
-	a := NewAdmission(1, 4)
+	a := newAdmission(1, 4)
 	clock := realClock{}
 	if _, err := a.Admit(context.Background(), clock, time.Second); err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"spatialrepart/internal/breaker"
 	"spatialrepart/internal/core"
 	"spatialrepart/internal/fault"
 	"spatialrepart/internal/grid"
@@ -91,9 +92,9 @@ func TestBreakerLifecycle(t *testing.T) {
 		if !errors.Is(st.LastRecomputeErr, errBoom) {
 			t.Fatalf("attempt %d: LastRecomputeErr = %v", i, st.LastRecomputeErr)
 		}
-		want := BreakerClosed
+		want := breaker.Closed
 		if i == 3 {
-			want = BreakerOpen
+			want = breaker.Open
 		}
 		if st.Breaker != want {
 			t.Fatalf("attempt %d: breaker %v, want %v", i, st.Breaker, want)
@@ -128,7 +129,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatal("recovered view still degraded")
 	}
 	st := s.Stats()
-	if st.Breaker != BreakerClosed || st.ConsecutiveFailures != 0 {
+	if st.Breaker != breaker.Closed || st.ConsecutiveFailures != 0 {
 		t.Fatalf("after probe: breaker %v, consecutive %d", st.Breaker, st.ConsecutiveFailures)
 	}
 	if st.StaleRecords != 0 {

@@ -49,7 +49,8 @@ type Options struct {
 	// the cached view until at least this many records arrived since the
 	// last check (0 = check on every call).
 	MinRecordsBetweenChecks int
-	// Schedule for full recomputations (default geometric).
+	// Schedule for full recomputations (default core.ScheduleExact, the
+	// zero value).
 	Schedule core.Schedule
 	// Workers bounds the goroutines used by refreshes and full recomputes
 	// (0 = GOMAXPROCS); passed through to core.Options.Workers.
@@ -115,7 +116,7 @@ type Stats struct {
 	// Breaker is the circuit breaker's current state; BreakerOpens counts
 	// closed→open transitions; ConsecutiveFailures is the current failure
 	// streak (reset by any success).
-	Breaker             BreakerState
+	Breaker             breaker.State
 	BreakerOpens        int
 	ConsecutiveFailures int
 	// StaleRecords is the number of ingested records not yet reflected in
@@ -496,7 +497,7 @@ func (s *Repartitioner) currentCtx(ctx context.Context) (View, string, error) {
 		s.mu.Unlock()
 		return v, "degraded", nil
 	}
-	probing := s.brk.State() == BreakerHalfOpen
+	probing := s.brk.State() == breaker.HalfOpen
 	g := s.snapshotGrid()
 	cur := s.current
 	snapshotted := s.sinceLastCheck

@@ -13,9 +13,22 @@ import (
 	"spatialrepart/internal/obs"
 )
 
-// benchRegistry backs the -metrics-addr endpoint and every benchmark run, so
-// live metrics are visible while the benchmark executes.
+// benchRegistry backs the -metrics-addr endpoint. Each benchmark run records
+// into a private observer, so its report's phases cover that run alone;
+// publishRun then folds the run's counters and gauges in here, so the
+// endpoint shows running totals across the benchmark.
 var benchRegistry = obs.NewRegistry()
+
+// publishRun adds one finished run's counters to benchRegistry and copies
+// its gauges. Span histograms stay in the run's own report.
+func publishRun(s obs.Snapshot) {
+	for name, v := range s.Counters {
+		benchRegistry.Counter(name).Add(v)
+	}
+	for name, v := range s.Gauges {
+		benchRegistry.Gauge(name).Set(v)
+	}
+}
 
 // benchRows/benchCols fix the benchmark grid so BENCH_repartition.json files
 // from different machines measure the same work.
@@ -67,16 +80,18 @@ func benchmark(cfg experiments.Config) (*benchFile, error) {
 			return nil, fmt.Errorf("bench: unknown dataset %q", name)
 		}
 		for _, workers := range []int{1, 0} {
+			o := obs.New()
 			start := time.Now()
 			_, report, err := core.RepartitionWithReport(d.Grid, core.Options{
 				Threshold: theta,
 				Schedule:  core.ScheduleGeometric,
 				Workers:   workers,
-				Obs:       obs.WithRegistry(benchRegistry),
+				Obs:       o,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("bench %s workers=%d: %w", name, workers, err)
 			}
+			publishRun(o.Registry().Snapshot())
 			bf.Entries = append(bf.Entries, benchEntry{
 				Dataset: name,
 				Theta:   theta,

@@ -11,6 +11,7 @@ import (
 
 func TestBenchReportPopulated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_repartition.json")
+	evaluatedBefore := benchRegistry.Snapshot().Counters["rung.evaluated"]
 	if err := runBench(path, tinyConfig()); err != nil {
 		t.Fatal(err)
 	}
@@ -29,10 +30,17 @@ func TestBenchReportPopulated(t *testing.T) {
 	if len(bf.Entries) != want {
 		t.Fatalf("entries = %d, want %d", len(bf.Entries), want)
 	}
+	var evaluations int64
 	for _, e := range bf.Entries {
 		if e.WallNS <= 0 || e.Report == nil {
 			t.Fatalf("entry %s/w=%d not populated", e.Dataset, e.Workers)
 		}
+		// Each run's phases are its own: no counts carried over from the
+		// runs before it.
+		if got := e.Report.Phases["rung.eval"].Count; got != int64(e.Report.Evaluations) {
+			t.Errorf("entry %s/w=%d: rung.eval count %d, evaluations %d", e.Dataset, e.Workers, got, e.Report.Evaluations)
+		}
+		evaluations += int64(e.Report.Evaluations)
 		if e.Report.TotalNS <= 0 || e.Report.Evaluations == 0 {
 			t.Errorf("entry %s/w=%d report empty: %+v", e.Dataset, e.Workers, e.Report)
 		}
@@ -41,6 +49,10 @@ func TestBenchReportPopulated(t *testing.T) {
 				t.Errorf("entry %s/w=%d missing phase %s", e.Dataset, e.Workers, phase)
 			}
 		}
+	}
+	// The -metrics-addr registry holds the totals across runs.
+	if got := benchRegistry.Snapshot().Counters["rung.evaluated"] - evaluatedBefore; got != evaluations {
+		t.Errorf("benchRegistry rung.evaluated grew by %d, want %d", got, evaluations)
 	}
 	// Sequential and all-cores runs of the same dataset find the same answer.
 	for _, name := range benchDatasets {

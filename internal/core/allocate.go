@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"spatialrepart/internal/grid"
-	"spatialrepart/internal/obs"
 )
 
 // AllocateFeatures implements Algorithm 2: it computes the feature vector of
@@ -29,23 +28,42 @@ func AllocateFeaturesMeanOnly(orig *grid.Grid, part *Partition) [][]float64 {
 
 func allocate(orig *grid.Grid, part *Partition, meanOnly bool) [][]float64 {
 	feats := make([][]float64, len(part.Groups))
-	allocateRange(orig, part, feats, 0, len(part.Groups), meanOnly)
+	allocateRange(orig, part, feats, 0, len(part.Groups), meanOnly, nil)
 	return feats
 }
 
 // allocateRange fills feats[lo:hi] for the groups in that index range. Each
 // group's feature vector depends only on that group's cells, so disjoint
 // ranges can run concurrently and produce output bit-identical to the
-// sequential pass.
-func allocateRange(orig *grid.Grid, part *Partition, feats [][]float64, lo, hi int, meanOnly bool) {
+// sequential pass. The vectors are carved from one slab per call.
+//
+// ident, when non-nil, holds the identity partition's features of the same
+// grid (index r*Cols+c): a single-cell group copies its cell's vector, which
+// is the same Algorithm 2 computation on the same one-value input, and so
+// bit-equal to recomputing it. Only the full Algorithm 2 may pass ident.
+func allocateRange(orig *grid.Grid, part *Partition, feats [][]float64, lo, hi int, meanOnly bool, ident [][]float64) {
 	p := orig.NumAttrs()
-	vals := make([]float64, 0, 64)
+	n, maxSize := 0, 0
+	for _, cg := range part.Groups[lo:hi] {
+		if !cg.Null {
+			n++
+			maxSize = max(maxSize, cg.Size())
+		}
+	}
+	slab := make([]float64, n*p)
+	vals := make([]float64, 0, maxSize)
 	for gi := lo; gi < hi; gi++ {
 		cg := part.Groups[gi]
 		if cg.Null {
 			continue
 		}
-		fv := make([]float64, p)
+		fv := slab[:p:p]
+		slab = slab[p:]
+		feats[gi] = fv
+		if ident != nil && cg.Size() == 1 {
+			copy(fv, ident[cg.RBeg*orig.Cols+cg.CBeg])
+			continue
+		}
 		for k := 0; k < p; k++ {
 			vals = vals[:0]
 			for r := cg.RBeg; r <= cg.REnd; r++ {
@@ -63,7 +81,6 @@ func allocateRange(orig *grid.Grid, part *Partition, feats [][]float64, lo, hi i
 			}
 			fv[k] = allocateAttr(orig.Attrs[k], vals)
 		}
-		feats[gi] = fv
 	}
 }
 
@@ -140,15 +157,4 @@ func mode(vals []float64) float64 {
 		}
 	}
 	return best
-}
-
-// allocateFeaturesObs is AllocateFeatures under observation: it times the
-// Algorithm 2 pass (span "rung.allocate") and counts calls. The feature
-// vectors returned are exactly AllocateFeatures' — observation only reads.
-func allocateFeaturesObs(o *obs.Observer, orig *grid.Grid, part *Partition) [][]float64 {
-	sp := o.StartSpan("rung.allocate")
-	feats := AllocateFeatures(orig, part)
-	sp.End()
-	o.Count("allocate.calls", 1)
-	return feats
 }

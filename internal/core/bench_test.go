@@ -255,3 +255,16 @@ func BenchmarkExtractField(b *testing.B) {
 		ExtractField(field, minVar)
 	}
 }
+
+// BenchmarkRungEval512Multi times one rung evaluation (extract, allocate,
+// loss) on the taxi-multi 512×512 grid the batch benchmark repartitions, at a
+// rung a quarter of the way up the ladder.
+func BenchmarkRungEval512Multi(b *testing.B) {
+	ev, ladder := newTestEvaluator(datagen.TaxiTripsMulti(1, 512, 512).Grid, 1)
+	theta := ladder.Rung(ladder.Len() / 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev.eval(nil, theta)
+	}
+}

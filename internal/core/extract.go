@@ -1,9 +1,6 @@
 package core
 
-import (
-	"spatialrepart/internal/grid"
-	"spatialrepart/internal/obs"
-)
+import "spatialrepart/internal/grid"
 
 // CellGroup is a rectangular group of adjacent cells (paper §II). The bounds
 // are inclusive: the group spans rows [RBeg, REnd] and columns [CBeg, CEnd].
@@ -151,17 +148,5 @@ func Extract(norm *grid.Grid, minAdjVariation float64) *Partition {
 			p.Groups = append(p.Groups, cg)
 		}
 	}
-	return p
-}
-
-// extractFieldObs is ExtractField under observation: it times the extraction
-// (span "rung.extract") and counts extractions and produced groups. The
-// partition returned is exactly ExtractField's — observation only reads it.
-func extractFieldObs(o *obs.Observer, f *VariationField, minAdjVariation float64) *Partition {
-	sp := o.StartSpan("rung.extract")
-	p := ExtractField(f, minAdjVariation)
-	sp.End()
-	o.Count("extract.calls", 1)
-	o.Count("extract.groups", int64(len(p.Groups)))
 	return p
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"spatialrepart/internal/grid"
-	"spatialrepart/internal/obs"
 )
 
 // Representative returns the value attribute k of the re-partitioned dataset
@@ -67,9 +66,14 @@ func attrSpans(g *grid.Grid) []float64 {
 // absolute percentage error of the representative cell values against the
 // original ones, averaged over all valid cells and all attributes.
 func IFL(orig *grid.Grid, part *Partition, feats [][]float64) float64 {
+	return ifl(orig, part, feats, attrSpans(orig), nil)
+}
+
+// ifl is IFL over precomputed attribute spans and, when terms is non-nil,
+// the identity partition's per-cell Eq. 3 terms (identityTerms).
+func ifl(orig *grid.Grid, part *Partition, feats [][]float64, spans, terms []float64) float64 {
 	p := orig.NumAttrs()
-	spans := attrSpans(orig)
-	sum, valid := iflRows(orig, part, feats, spans, 0, orig.Rows)
+	sum, valid := iflRows(orig, part, feats, spans, terms, 0, orig.Rows)
 	if valid == 0 || p == 0 {
 		return 0
 	}
@@ -78,8 +82,11 @@ func IFL(orig *grid.Grid, part *Partition, feats [][]float64) float64 {
 
 // iflRows accumulates the Eq. 3 numerator and valid-cell count over rows
 // [r0, r1), in row-major order — the shard primitive behind IFL (full range)
-// and IFLParallel (fixed row blocks).
-func iflRows(orig *grid.Grid, part *Partition, feats [][]float64, spans []float64, r0, r1 int) (sum float64, valid int) {
+// and IFLParallel (fixed row blocks). terms, when non-nil, holds
+// identityTerms for this grid: a cell that is its own group adds its cached
+// terms, which are the very values the loop below would compute for it, in
+// the same order, so the sum is bit-equal either way.
+func iflRows(orig *grid.Grid, part *Partition, feats [][]float64, spans, terms []float64, r0, r1 int) (sum float64, valid int) {
 	p := orig.NumAttrs()
 	for r := r0; r < r1; r++ {
 		for c := 0; c < orig.Cols; c++ {
@@ -87,9 +94,16 @@ func iflRows(orig *grid.Grid, part *Partition, feats [][]float64, spans []float6
 				continue
 			}
 			valid++
-			gi := part.GroupOf(r, c)
-			fv := feats[gi]
+			idx := r*orig.Cols + c
+			gi := part.CellToGroup[idx]
 			size := part.Groups[gi].Size()
+			if terms != nil && size == 1 {
+				for _, t := range terms[idx*p : idx*p+p] {
+					sum += t
+				}
+				continue
+			}
+			fv := feats[gi]
 			for k := 0; k < p; k++ {
 				rep := Representative(orig.Attrs[k], fv[k], size)
 				sum += IFLTermAttr(orig.Attrs[k], orig.At(r, c, k), rep, spans[k])
@@ -99,13 +113,24 @@ func iflRows(orig *grid.Grid, part *Partition, feats [][]float64, spans []float6
 	return sum, valid
 }
 
-// iflObs is IFL under observation: it times the Eq. 3 sweep (span
-// "rung.loss") and counts evaluations. The loss returned is exactly IFL's —
-// observation only reads it.
-func iflObs(o *obs.Observer, orig *grid.Grid, part *Partition, feats [][]float64) float64 {
-	sp := o.StartSpan("rung.loss")
-	loss := IFL(orig, part, feats)
-	sp.End()
-	o.Count("loss.evaluations", 1)
-	return loss
+// identityTerms returns the Eq. 3 terms of every valid cell under the
+// identity partition with features identFeats, p per cell at index
+// (r*Cols+c)*p; null cells keep zeros and are never read.
+func identityTerms(orig *grid.Grid, identFeats [][]float64, spans []float64) []float64 {
+	p := orig.NumAttrs()
+	terms := make([]float64, orig.NumCells()*p)
+	for r := 0; r < orig.Rows; r++ {
+		for c := 0; c < orig.Cols; c++ {
+			if !orig.Valid(r, c) {
+				continue
+			}
+			idx := r*orig.Cols + c
+			fv := identFeats[idx]
+			for k := 0; k < p; k++ {
+				rep := Representative(orig.Attrs[k], fv[k], 1)
+				terms[idx*p+k] = IFLTermAttr(orig.Attrs[k], orig.At(r, c, k), rep, spans[k])
+			}
+		}
+	}
+	return terms
 }

@@ -78,7 +78,7 @@ func AllocateFeaturesParallel(orig *grid.Grid, part *Partition, workers int) [][
 	}
 	feats := make([][]float64, n)
 	parallelRanges(n, workers, workers, func(_, lo, hi int) {
-		allocateRange(orig, part, feats, lo, hi, false)
+		allocateRange(orig, part, feats, lo, hi, false, nil)
 	})
 	return feats
 }
@@ -124,7 +124,7 @@ func IFLParallel(orig *grid.Grid, part *Partition, feats [][]float64, workers in
 		sem <- struct{}{}
 		go func(b, r0, r1 int) {
 			defer wg.Done()
-			s, v := iflRows(orig, part, feats, spans, r0, r1)
+			s, v := iflRows(orig, part, feats, spans, nil, r0, r1)
 			parts[b] = partial{sum: s, valid: v}
 			<-sem
 		}(b, r0, r1)

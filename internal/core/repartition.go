@@ -214,6 +214,7 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 		MinAdjVariation: -1,
 	}
 	best.Features = AllocateFeatures(g, best.Partition)
+	ev := newRungEvaluator(g, field, best.Features, workers)
 
 	iterBudget := opts.MaxIterations
 	if iterBudget <= 0 {
@@ -233,9 +234,7 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 		// rung.allocate, rung.loss) stay histogram-only so the flight
 		// recorder holds one event per rung, not four.
 		_, spe := o.StartSpanCtx(ctx, "rung.eval")
-		part := extractFieldObs(o, field, ladder.Rung(i))
-		feats := allocateFeaturesObs(o, g, part)
-		loss := iflObs(o, g, part, feats)
+		part, feats, loss := ev.eval(o, ladder.Rung(i))
 		spe.End()
 		ok := loss <= opts.Threshold
 		o.Count("rung.evaluated", 1)
@@ -327,6 +326,72 @@ func repartition(g *grid.Grid, opts Options, rec *runRecorder) (*Repartitioned, 
 	o.SetGauge("repart.last_ifl", best.IFL)
 	o.SetGauge("repart.last_groups", float64(len(best.Partition.Groups)))
 	return best, nil
+}
+
+// rungEvaluator runs Algorithms 1–3 for the rungs of one Repartition call.
+// It holds the work that does not depend on the rung, done once per call:
+// the identity partition's features, each valid cell's Eq. 3 terms under
+// them, and the attribute spans. A single-cell group's features and loss
+// terms are the identity's, so each rung recomputes only its multi-cell
+// groups (DESIGN.md §3.10). Everything but the scratch free list is
+// read-only, so concurrent speculative rungs share one evaluator.
+type rungEvaluator struct {
+	g     *grid.Grid
+	field *VariationField
+	ident [][]float64 // identity features, indexed by cell
+	spans []float64
+	terms []float64 // identityTerms(g, ident, spans)
+	// free holds idle extraction scratch. Its capacity is the worker count,
+	// the most evaluations in flight at once. It is a channel rather than a
+	// sync.Pool so the scratch is never dropped and the allocation count of
+	// an evaluation stays fixed.
+	free chan *extractScratch
+}
+
+func newRungEvaluator(g *grid.Grid, field *VariationField, identFeats [][]float64, workers int) *rungEvaluator {
+	spans := attrSpans(g)
+	return &rungEvaluator{
+		g:     g,
+		field: field,
+		ident: identFeats,
+		spans: spans,
+		terms: identityTerms(g, identFeats, spans),
+		free:  make(chan *extractScratch, workers),
+	}
+}
+
+// eval extracts, allocates and scores the partition at one min-adjacent
+// variation, timing each step (spans rung.extract, rung.allocate, rung.loss).
+// The result is exactly ExtractField, AllocateFeatures and IFL's. Its
+// allocations are a constant few, whatever the grid size.
+func (e *rungEvaluator) eval(o *obs.Observer, minAdjVariation float64) (*Partition, [][]float64, float64) {
+	var s *extractScratch
+	select {
+	case s = <-e.free:
+	default:
+		s = newExtractScratch(e.field.Rows * e.field.Cols)
+	}
+	sp := o.StartSpan("rung.extract")
+	part := e.field.extract(minAdjVariation, s)
+	sp.End()
+	select {
+	case e.free <- s:
+	default:
+	}
+	o.Count("extract.calls", 1)
+	o.Count("extract.groups", int64(len(part.Groups)))
+
+	sp = o.StartSpan("rung.allocate")
+	feats := make([][]float64, len(part.Groups))
+	allocateRange(e.g, part, feats, 0, len(feats), false, e.ident)
+	sp.End()
+	o.Count("allocate.calls", 1)
+
+	sp = o.StartSpan("rung.loss")
+	loss := ifl(e.g, part, feats, e.spans, e.terms)
+	sp.End()
+	o.Count("loss.evaluations", 1)
+	return part, feats, loss
 }
 
 // exactParallel climbs the ladder rung by rung like the sequential

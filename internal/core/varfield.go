@@ -104,8 +104,30 @@ func (f *VariationField) Ladder() *VariationLadder {
 // output to Extract(norm, minAdjVariation) for the field built from the same
 // normalized grid, with every adjacency check reduced to one array load.
 func ExtractField(f *VariationField, minAdjVariation float64) *Partition {
+	return f.extract(minAdjVariation, newExtractScratch(f.Rows*f.Cols))
+}
+
+// extractScratch is the working memory of one extraction: the visited mask
+// and a group buffer that holds the rows×cols worst case, so Algorithm 1
+// never regrows its group list. A rung search reuses one scratch per
+// concurrent evaluation instead of allocating both for every rung.
+type extractScratch struct {
+	visited []bool
+	groups  []CellGroup
+}
+
+func newExtractScratch(cells int) *extractScratch {
+	return &extractScratch{visited: make([]bool, cells), groups: make([]CellGroup, 0, cells)}
+}
+
+// extract is ExtractField over caller-supplied scratch. The returned
+// partition owns exactly-sized Groups and CellToGroup slices and shares no
+// memory with s, so s may be reused as soon as extract returns.
+func (f *VariationField) extract(minAdjVariation float64, s *extractScratch) *Partition {
 	rows, cols := f.Rows, f.Cols
-	visited := make([]bool, rows*cols)
+	visited := s.visited
+	clear(visited)
+	groups := s.groups[:0]
 	p := &Partition{
 		Rows:        rows,
 		Cols:        cols,
@@ -184,16 +206,18 @@ func ExtractField(f *VariationField, minAdjVariation float64) *Partition {
 			}
 			cg.Null = !f.valid[r*cols+c]
 
-			id := len(p.Groups)
+			id := len(groups)
 			for rr := cg.RBeg; rr <= cg.REnd; rr++ {
 				for cc := cg.CBeg; cc <= cg.CEnd; cc++ {
 					visited[rr*cols+cc] = true
 					p.CellToGroup[rr*cols+cc] = id
 				}
 			}
-			p.Groups = append(p.Groups, cg)
+			groups = append(groups, cg)
 		}
 	}
+	p.Groups = make([]CellGroup, len(groups))
+	copy(p.Groups, groups)
 	return p
 }
 

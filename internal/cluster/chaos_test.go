@@ -119,7 +119,7 @@ func TestChaosKillDegradeRejoinReconverge(t *testing.T) {
 	shards := make([]*killableShard, 2)
 	backends := make([]string, 2)
 	for i := range streams {
-		opts := stream.Options{Threshold: 0.5, MinRecordsBetweenChecks: 1}
+		opts := stream.Options{Threshold: 0.5}
 		if i == 1 {
 			opts.WAL = wlog
 		}
@@ -308,7 +308,7 @@ func TestChaosKillDegradeRejoinReconverge(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wlog2.Close()
-	restored, err := NewShard(p, 1, testAttrs(), stream.Options{Threshold: 0.5, MinRecordsBetweenChecks: 1, WAL: wlog2})
+	restored, err := NewShard(p, 1, testAttrs(), stream.Options{Threshold: 0.5, WAL: wlog2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net/url"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"spatialrepart/internal/breaker"
@@ -87,8 +89,12 @@ type Config struct {
 // Coordinator is the cluster's stateless front door: the scatter-gather
 // endpoints mounted on the shard server's request envelope (server.Front,
 // prefix "cluster"). Create with New, mount via Handler or run with Serve,
-// stop with Shutdown. It holds no view state of its own — every response is
-// assembled from live shard responses, so coordinators can be replicated
+// stop with Shutdown. It holds no view state of its own: every request
+// fetches every shard, and every response is derived from those live shard
+// answers. The one thing it keeps is a memo of its last healthy stitched
+// /view per groups value, keyed on the exact shard bodies it was built
+// from, so identical shard answers skip the decode, stitch and encode. A
+// restarted coordinator recovers nothing, so coordinators can be replicated
 // freely.
 type Coordinator struct {
 	*server.Front
@@ -100,6 +106,33 @@ type Coordinator struct {
 	clock    server.Clock
 	obs      *obs.Observer
 	flt      *fault.Injector
+
+	// viewMu guards views, the stitched /view memo per groups value
+	// (index 1 = with groups). Memo slices are never mutated.
+	viewMu sync.Mutex
+	views  [2]stitchedView
+}
+
+// stitchedView is one memoized coordinator /view response: the encoded
+// body, whether it was degraded, and the shard bodies it was stitched from.
+type stitchedView struct {
+	shardBodies [][]byte
+	degraded    bool
+	body        []byte
+}
+
+// matches reports whether every shard answered 200 with exactly the body
+// the memo was stitched from.
+func (m stitchedView) matches(results []fetchResult, errs []error) bool {
+	if m.body == nil || len(m.shardBodies) != len(results) {
+		return false
+	}
+	for i, res := range results {
+		if errs[i] != nil || res.Status != http.StatusOK || !bytes.Equal(res.Body, m.shardBodies[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // New validates cfg, applies defaults, and returns a ready-to-mount
@@ -393,11 +426,24 @@ func degradedWarning(w http.ResponseWriter) {
 // global partition: GET /view (?groups=false omits the group list). Shards
 // that fail their defended fetch are reported in missing_shards and the
 // response degrades to 200 + Warning; only a fully dark cluster turns into
-// a 503.
+// a 503. When every shard answers with the same bytes as for the memoized
+// response, that response is served again without re-stitching; only
+// responses with every shard present are memoized.
 func (c *Coordinator) handleView(w http.ResponseWriter, r *http.Request) error {
 	pq := "/view"
 	includeGroups := r.URL.Query().Get("groups") != "false"
 	results, errs := c.scatter(r.Context(), pq)
+
+	slot := &c.views[0]
+	if includeGroups {
+		slot = &c.views[1]
+	}
+	c.viewMu.Lock()
+	memo := *slot
+	c.viewMu.Unlock()
+	if memo.matches(results, errs) {
+		return c.writeView(w, r, memo.body, memo.degraded, 0)
+	}
 
 	var views []ShardView
 	var missing []int
@@ -431,14 +477,33 @@ func (c *Coordinator) handleView(w http.ResponseWriter, r *http.Request) error {
 		return server.ErrNotReady.WithDetail("no shard reachable: %v", firstErr)
 	}
 	body := AssembleView(c.plan, views, missing, includeGroups)
-	if body.Degraded {
+	encoded, err := server.EncodeJSON(body)
+	if err != nil {
+		return err
+	}
+	if len(missing) == 0 {
+		shardBodies := make([][]byte, len(results))
+		for i := range results {
+			shardBodies[i] = results[i].Body
+		}
+		c.viewMu.Lock()
+		*slot = stitchedView{shardBodies: shardBodies, degraded: body.Degraded, body: encoded}
+		c.viewMu.Unlock()
+	}
+	return c.writeView(w, r, encoded, body.Degraded, len(missing))
+}
+
+// writeView writes an encoded stitched view, flagging a degraded one with
+// the Warning header and publishing the missing-shard gauge.
+func (c *Coordinator) writeView(w http.ResponseWriter, r *http.Request, body []byte, degraded bool, missing int) error {
+	if degraded {
 		degradedWarning(w)
 	}
-	c.obs.SetGauge("cluster.missing_shards", float64(len(missing)))
+	c.obs.SetGauge("cluster.missing_shards", float64(missing))
 	if r.Context().Err() != nil {
 		return server.ErrTimeout.WithDetail("deadline expired before the stitched view was written")
 	}
-	return server.WriteJSON(w, body)
+	return server.WriteBody(w, body)
 }
 
 // ShardStats is one shard's entry in the cluster /stats response: the

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -62,7 +63,7 @@ func startCluster(t *testing.T, rows, cols, shards int, recs []grid.Record,
 	tc := &testCluster{plan: p}
 	backends := make([]string, shards)
 	for i := 0; i < shards; i++ {
-		s, err := NewShard(p, i, testAttrs(), stream.Options{Threshold: 0.5, MinRecordsBetweenChecks: 1})
+		s, err := NewShard(p, i, testAttrs(), stream.Options{Threshold: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +143,7 @@ func TestSingleShardViewMatchesUnshardedServer(t *testing.T) {
 	}
 
 	// The unsharded reference: same records, one stream over the full grid.
-	ref, err := stream.New(testBounds(), 8, 8, testAttrs(), stream.Options{Threshold: 0.5, MinRecordsBetweenChecks: 1})
+	ref, err := stream.New(testBounds(), 8, 8, testAttrs(), stream.Options{Threshold: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,6 +216,169 @@ func TestStitchedViewMatchesInProcessReference(t *testing.T) {
 				t.Fatalf("HTTP view != in-process reference:\nhttp: %s\nref:  %s", httpBody, refBuf.Bytes())
 			}
 		})
+	}
+}
+
+// encodedReference is ViewFromStreams over the cluster's shard streams,
+// encoded exactly as the coordinator writes it.
+func encodedReference(t *testing.T, tc *testCluster, includeGroups bool) []byte {
+	t.Helper()
+	ref, err := ViewFromStreams(tc.plan, tc.streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !includeGroups {
+		ref.CellGroups = nil
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(ref); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestStitchedViewMemo: repeated /view reads of an unchanged cluster serve
+// identical bytes equal to the in-process reference; new records on one
+// shard show up in the next read; a response with a missing shard is
+// flagged and never memoized, and the first healthy read after recovery
+// equals the reference again.
+func TestStitchedViewMemo(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var down atomic.Bool
+	tc := startCluster(t, 10, 6, 2, testRecords(rng, testBounds(), 600), func(cfg *Config) {
+		// Keep shard 1's breaker closed through the outage and its retry
+		// backoff short, so recovery shows within milliseconds.
+		cfg.FailureThreshold = 1000
+		cfg.InitialBackoff, cfg.MaxBackoff = time.Millisecond, time.Millisecond
+	}, func(i int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if i == 1 && down.Load() {
+				server.WriteError(w, server.ErrOverloaded)
+				return
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+
+	read := func(step string, wantBody []byte) []byte {
+		t.Helper()
+		resp, body := getBody(t, tc.front.URL+"/view")
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Warning") != "" {
+			t.Fatalf("%s: status %d warning %q", step, resp.StatusCode, resp.Header.Get("Warning"))
+		}
+		if wantBody != nil && !bytes.Equal(body, wantBody) {
+			t.Fatalf("%s: /view != reference:\nhttp: %s\nref:  %s", step, body, wantBody)
+		}
+		return body
+	}
+
+	first := read("first read", nil)
+	ref := encodedReference(t, tc, true)
+	if !bytes.Equal(first, ref) {
+		t.Fatalf("first read != reference:\nhttp: %s\nref:  %s", first, ref)
+	}
+	for i := 0; i < 3; i++ {
+		read(fmt.Sprintf("repeat %d", i), ref)
+	}
+	resp, summary := getBody(t, tc.front.URL+"/view?groups=false")
+	if want := encodedReference(t, tc, false); resp.StatusCode != http.StatusOK || !bytes.Equal(summary, want) {
+		t.Fatalf("summary /view != reference:\nhttp: %s\nref:  %s", summary, want)
+	}
+
+	// New records inside shard 0's band: the next read is stitched afresh.
+	for _, rec := range testRecords(rng, tc.plan.Bands[0].Bounds, 40) {
+		if shard, local, ok := tc.plan.Route(rec); ok {
+			if err := tc.streams[shard].Add(local); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	changed := read("after ingest", nil)
+	ref = encodedReference(t, tc, true)
+	if !bytes.Equal(changed, ref) || bytes.Equal(changed, first) {
+		t.Fatalf("after ingest: /view did not move to the new reference:\nhttp: %s\nref:  %s", changed, ref)
+	}
+
+	// Shard 1 answers 503: a flagged partial response, not memoized.
+	down.Store(true)
+	resp, body := getBody(t, tc.front.URL+"/view")
+	var cv ViewBody
+	if err := json.Unmarshal(body, &cv); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.HasPrefix(resp.Header.Get("Warning"), "110") ||
+		!cv.Degraded || len(cv.MissingShards) != 1 || cv.MissingShards[0] != 1 {
+		t.Fatalf("shard 1 down: status %d warning %q degraded=%t missing=%v",
+			resp.StatusCode, resp.Header.Get("Warning"), cv.Degraded, cv.MissingShards)
+	}
+	tc.coord.viewMu.Lock()
+	memo := tc.coord.views[1]
+	tc.coord.viewMu.Unlock()
+	if !bytes.Equal(memo.body, changed) || memo.degraded {
+		t.Fatalf("partial response replaced the memo: %s", memo.body)
+	}
+
+	// The breaker still refuses shard 1 for its (1ms) backoff window, so
+	// poll for the first healthy response.
+	down.Store(false)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, body = getBody(t, tc.front.URL+"/view")
+		if resp.StatusCode == http.StatusOK && resp.Header.Get("Warning") == "" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no healthy /view after recovery: status %d warning %q", resp.StatusCode, resp.Header.Get("Warning"))
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if !bytes.Equal(body, ref) {
+		t.Fatalf("first healthy read after recovery != reference:\nhttp: %s\nref:  %s", body, ref)
+	}
+}
+
+// TestStitchedViewMemoConcurrentReaders: concurrent /view readers of both
+// groups values all get the reference bytes while they race to fill and
+// reuse the memo.
+func TestStitchedViewMemoConcurrentReaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	tc := startCluster(t, 8, 6, 2, testRecords(rng, testBounds(), 400), nil, nil)
+	want := map[bool][]byte{true: encodedReference(t, tc, true), false: encodedReference(t, tc, false)}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			includeGroups := g%2 == 0
+			url := tc.front.URL + "/view"
+			if !includeGroups {
+				url += "?groups=false"
+			}
+			for i := 0; i < 5; i++ {
+				resp, err := http.Get(url)
+				if err != nil {
+					errs <- err
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					errs <- err
+					return
+				}
+				if resp.StatusCode != http.StatusOK || !bytes.Equal(body, want[includeGroups]) {
+					errs <- fmt.Errorf("reader %d read %d: status %d body %s", g, i, resp.StatusCode, body)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -361,9 +362,29 @@ func clientKey(r *http.Request) string {
 
 // WriteJSON writes v as the 200 response.
 func WriteJSON(w http.ResponseWriter, v any) error {
+	b, err := EncodeJSON(v)
+	if err != nil {
+		return err
+	}
+	return WriteBody(w, b)
+}
+
+// EncodeJSON returns the exact bytes WriteJSON sends for v: the
+// json.Encoder encoding, trailing newline included. Handlers that memoize a
+// response encode it here, so cached and uncached bodies cannot drift.
+func EncodeJSON(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, fmt.Errorf("encoding response: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// WriteBody writes an already-encoded JSON body as the 200 response.
+func WriteBody(w http.ResponseWriter, body []byte) error {
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		return fmt.Errorf("encoding response: %w", err)
+	if _, err := w.Write(body); err != nil {
+		return fmt.Errorf("writing response: %w", err)
 	}
 	return nil
 }

@@ -25,6 +25,7 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"spatialrepart/internal/breaker"
@@ -119,6 +120,18 @@ type Config struct {
 type Server struct {
 	*Front
 	src Source
+
+	// viewMu guards views, the last encoded /view body per groups value
+	// (index 1 = with groups). A body is reused only for the identical
+	// View value it was encoded from; cached slices are never mutated.
+	viewMu sync.Mutex
+	views  [2]encodedView
+}
+
+// encodedView is one memoized /view body and the view it encodes.
+type encodedView struct {
+	view stream.View
+	body []byte
 }
 
 // New validates cfg, applies defaults, and returns a ready-to-mount Server.
@@ -250,11 +263,39 @@ func (s *Server) handleView(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	out := ViewBodyOf(v, r.URL.Query().Get("groups") != "false")
+	body, err := s.viewBody(v, r.URL.Query().Get("groups") != "false")
+	if err != nil {
+		return err
+	}
 	if r.Context().Err() != nil {
 		return ErrTimeout.WithDetail("deadline expired before the view was written")
 	}
-	return WriteJSON(w, out)
+	return WriteBody(w, body)
+}
+
+// viewBody returns the encoded /view body of v, encoding it only when v
+// differs from the view the cached body was built from. A View names its
+// dataset, generation and degraded flag, and an installed dataset is never
+// mutated, so an equal View always encodes to the same bytes.
+func (s *Server) viewBody(v stream.View, includeGroups bool) ([]byte, error) {
+	slot := &s.views[0]
+	if includeGroups {
+		slot = &s.views[1]
+	}
+	s.viewMu.Lock()
+	cached := *slot
+	s.viewMu.Unlock()
+	if cached.body != nil && cached.view == v {
+		return cached.body, nil
+	}
+	body, err := EncodeJSON(ViewBodyOf(v, includeGroups))
+	if err != nil {
+		return nil, err
+	}
+	s.viewMu.Lock()
+	*slot = encodedView{view: v, body: body}
+	s.viewMu.Unlock()
+	return body, nil
 }
 
 // handleGroup serves one cell-group: GET /group?id=N.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -227,6 +228,67 @@ func TestViewEndpoint(t *testing.T) {
 	if _, present := body["cell_groups"]; present {
 		t.Errorf("summary view still lists groups: %v", body)
 	}
+}
+
+// TestViewBodyCache: /view bodies are the exact json.Encoder bytes of
+// ViewBodyOf for both groups values, and a source that bumps the
+// generation, flips Degraded or swaps the dataset gets a newly encoded body
+// every time, never a stale cached one.
+func TestViewBodyCache(t *testing.T) {
+	src := readySource()
+	_, ts := newTestServer(t, Config{Source: src})
+	setView := func(v stream.View) {
+		src.mu.Lock()
+		src.view = v
+		src.mu.Unlock()
+	}
+	check := func(step string, v stream.View) {
+		t.Helper()
+		for _, groups := range []bool{true, false} {
+			url := ts.URL + "/view"
+			if !groups {
+				url += "?groups=false"
+			}
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(ViewBodyOf(v, groups)); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				resp, err := http.Get(url)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want.Bytes()) {
+					t.Fatalf("%s groups=%t read %d: status %d body\n%s\nwant\n%s", step, groups, i, resp.StatusCode, got, want.Bytes())
+				}
+				if hasWarning := resp.Header.Get("Warning") != ""; hasWarning != v.Degraded {
+					t.Fatalf("%s groups=%t: Warning %q for degraded=%t", step, groups, resp.Header.Get("Warning"), v.Degraded)
+				}
+			}
+		}
+	}
+
+	v := src.view
+	check("initial", v)
+	v.Generation++
+	setView(v)
+	check("generation bump", v)
+	v.Degraded = true
+	setView(v)
+	check("degraded flip", v)
+	v.Degraded = false
+	setView(v)
+	check("degraded cleared", v)
+	swapped := testView(v.Generation, false)
+	swapped.Features = [][]float64{{5, 6}, {7, 8}}
+	swapped.IFL = 0.125
+	setView(swapped)
+	check("dataset swap", swapped)
 }
 
 func TestDegradedViewServesWithWarning(t *testing.T) {

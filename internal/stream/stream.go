@@ -5,7 +5,8 @@
 // partition is retained as long as re-allocating its feature vectors on the
 // freshest data keeps the information loss within the threshold, and a full
 // re-partitioning runs only when the stream has drifted past that bound.
-// Between recomputations readers pay only the (cheap) feature re-allocation.
+// Between recomputations readers pay only the (cheap) feature re-allocation,
+// and a read with no records since the last install pays nothing at all.
 //
 // Serving is fault tolerant (DESIGN.md §3.16): once any view exists, Current
 // never returns an error — a failed, panicking, or deadline-overrunning
@@ -47,7 +48,9 @@ type Options struct {
 	Threshold float64
 	// MinRecordsBetweenChecks throttles staleness checks: Current() reuses
 	// the cached view until at least this many records arrived since the
-	// last check (0 = check on every call).
+	// last check (0 = check on every call that has new records to fold in).
+	// Whatever the setting, a read with no records since the last install
+	// serves the installed view and never refreshes.
 	MinRecordsBetweenChecks int
 	// Schedule for full recomputations (default core.ScheduleExact, the
 	// zero value).
@@ -163,7 +166,8 @@ type View struct {
 	// breaker is open, or a retry is still backing off).
 	Degraded bool
 	// Generation identifies the install that produced the view; it bumps on
-	// every successful refresh or recompute.
+	// every successful refresh or recompute. Reads that have no new records
+	// to fold in do neither, so they serve the same generation.
 	Generation int
 }
 
@@ -468,7 +472,9 @@ func (s *Repartitioner) CurrentCtx(ctx context.Context) (View, error) {
 // attributes only and never affects the returned view.
 func (s *Repartitioner) currentCtx(ctx context.Context) (View, string, error) {
 	s.mu.Lock()
-	if s.current != nil && s.sinceLastCheck < s.opts.MinRecordsBetweenChecks {
+	// sinceLastCheck == 0 means the installed view was computed from a
+	// snapshot holding every accepted record: a refresh would reproduce it.
+	if s.current != nil && (s.sinceLastCheck == 0 || s.sinceLastCheck < s.opts.MinRecordsBetweenChecks) {
 		v := s.viewLocked(false)
 		s.mu.Unlock()
 		return v, "cached", nil

@@ -182,6 +182,55 @@ func TestMinRecordsBetweenChecksThrottles(t *testing.T) {
 	}
 }
 
+// TestUnchangedStreamServesInstalledView: with no records since the last
+// install, Current serves the installed view as is — same dataset, same
+// generation, no refresh — and one new record makes the next call refresh.
+func TestUnchangedStreamServesInstalledView(t *testing.T) {
+	s, err := New(testBounds(), 6, 6, testAttrs(), Options{Threshold: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 300; i++ {
+		if err := s.Add(grid.Record{Lat: rng.Float64() * 10, Lon: rng.Float64() * 10, Values: []float64{1, 50}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := s.Current()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	for i := 0; i < 3; i++ {
+		v, err := s.Current()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Repartitioned != first.Repartitioned || v.Generation != first.Generation || v.Degraded {
+			t.Fatalf("read %d: got gen %d degraded=%t, want the installed gen %d view", i, v.Generation, v.Degraded, first.Generation)
+		}
+	}
+	if st := s.Stats(); st.Refreshes != before.Refreshes || st.Recomputes != before.Recomputes {
+		t.Fatalf("unchanged reads did work: refreshes %d -> %d, recomputes %d -> %d",
+			before.Refreshes, st.Refreshes, before.Recomputes, st.Recomputes)
+	}
+
+	if err := s.Add(grid.Record{Lat: 5, Lon: 5, Values: []float64{1, 50}}); err != nil {
+		t.Fatal(err)
+	}
+	next, err := s.Current()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Generation != first.Generation+1 {
+		t.Fatalf("generation after one new record = %d, want %d", next.Generation, first.Generation+1)
+	}
+	if st := s.Stats(); st.Refreshes+st.Recomputes != before.Refreshes+before.Recomputes+1 {
+		t.Fatalf("one new record: refreshes+recomputes = %d, want %d",
+			st.Refreshes+st.Recomputes, before.Refreshes+before.Recomputes+1)
+	}
+}
+
 func TestConcurrentAddAndCurrent(t *testing.T) {
 	s, err := New(testBounds(), 8, 8, testAttrs(), Options{Threshold: 0.3})
 	if err != nil {
@@ -295,10 +344,7 @@ func TestAddNotBlockedDuringRecompute(t *testing.T) {
 // stale repartitioner must not both pay for a full re-partitioning — the
 // second serves the first one's (fresher) result.
 func TestConcurrentCurrentSingleRecompute(t *testing.T) {
-	// MinRecordsBetweenChecks 1 keeps a goroutine that starts after the
-	// winning recompute finished on the cached-view fast path, so exactly
-	// one computation happens no matter how the four interleave.
-	s, err := New(testBounds(), 10, 10, testAttrs(), Options{Threshold: 0.1, MinRecordsBetweenChecks: 1})
+	s, err := New(testBounds(), 10, 10, testAttrs(), Options{Threshold: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,14 @@
 // runs the repo-specific analyzers — the per-package passes (maporder,
 // lockcall, spanend, floateq, globalrand, errdrop, syncclose,
 // panicsite, clockdirect, goroleak, atomicmix) and the interprocedural ones
-// (lockorder, ctxflow) — and prints one "file:line:col: analyzer:
+// (lockorder, ctxflow, deadexport) — and prints one "file:line:col: analyzer:
 // message" line per finding. -json emits the findings as a JSON array,
 // -sarif as a SARIF 2.1.0 log for code-scanning uploads; both are
 // byte-deterministic across runs of the same tree.
+//
+// The whole module is always analyzed, because the interprocedural
+// analyzers need the whole call graph; package patterns such as
+// ./internal/stream/... only select which findings are reported.
 //
 // Exit status: 0 on a clean tree, 1 when findings remain, 2 on usage,
 // load, or type-check errors.
@@ -21,8 +25,8 @@
 //	//spatialvet:ignore <analyzer> <reason>
 //
 // on the flagged line or the line directly above it. Misused
-// directives (unknown analyzer, missing reason) are themselves
-// findings.
+// directives (unknown analyzer, missing reason, a deadexport reason
+// without its category) and stale ones are themselves findings.
 package main
 
 import (
@@ -31,6 +35,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"spatialrepart/internal/analysis"
@@ -49,8 +54,9 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: spatialvet [-list] [-json|-sarif] [packages]\n\n")
 		fmt.Fprintf(stderr, "Analyzes the Go module containing the current directory. Package\n")
-		fmt.Fprintf(stderr, "arguments are ./-relative path patterns (a trailing /... matches the\n")
-		fmt.Fprintf(stderr, "subtree); with no arguments, or with ./..., the whole module is vetted.\n\n")
+		fmt.Fprintf(stderr, "arguments are module-root-relative path patterns (a trailing /... matches\n")
+		fmt.Fprintf(stderr, "the subtree) selecting which findings to report; the whole module is\n")
+		fmt.Fprintf(stderr, "always analyzed. With no arguments, or with ./..., every finding is reported.\n\n")
 		fmt.Fprintf(stderr, "Exit status: 0 on a clean tree, 1 when findings remain, 2 on usage,\n")
 		fmt.Fprintf(stderr, "load, or type-check errors.\n\n")
 		fs.PrintDefaults()
@@ -80,8 +86,11 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintln(stderr, "spatialvet:", err)
 		return 2
 	}
-	pkgs = filterPackages(pkgs, root, fs.Args())
-	diags := analysis.RunAnalyzers(pkgs, analysis.Analyzers(), analysis.DefaultConfig())
+	// The interprocedural analyzers need the whole module's call graph,
+	// so a package pattern filters findings, never what is analyzed.
+	match := matcher(root, fs.Args())
+	diags := slices.DeleteFunc(analysis.RunAnalyzers(pkgs, analysis.Analyzers(), analysis.DefaultConfig()),
+		func(d analysis.Diagnostic) bool { return !match(d.Pos.Filename) })
 
 	switch {
 	case *jsonOut:
@@ -99,14 +108,9 @@ func run(args []string, stdout, stderr *os.File) int {
 		if err != nil {
 			cwd = "" // fall back to absolute paths in the report
 		}
+		rel := relTo(cwd)
 		for _, d := range diags {
-			file := d.Pos.Filename
-			if cwd != "" {
-				if rel, err := filepath.Rel(cwd, file); err == nil && !strings.HasPrefix(rel, "..") {
-					file = rel
-				}
-			}
-			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", file, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
+			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", rel(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 		}
 	}
 	if len(diags) > 0 {
@@ -116,9 +120,9 @@ func run(args []string, stdout, stderr *os.File) int {
 	return 0
 }
 
-// relTo maps an absolute filename to a module-root-relative slash path
-// (the stable URI form -json and -sarif emit); files outside the module
-// keep their absolute path.
+// relTo maps an absolute filename to a root-relative slash path (with
+// the module root, the stable URI form -json and -sarif emit); files
+// outside root keep their absolute path.
 func relTo(root string) func(string) string {
 	return func(file string) string {
 		if rel, err := filepath.Rel(root, file); err == nil && !strings.HasPrefix(rel, "..") {
@@ -135,17 +139,15 @@ func writeJSON(w *os.File, v any) error {
 	return enc.Encode(v)
 }
 
-// filterPackages keeps the packages matching the ./-relative patterns.
-// No patterns, or any "./..."/"..." pattern, keeps everything.
-func filterPackages(pkgs []*analysis.Package, root string, patterns []string) []*analysis.Package {
-	if len(patterns) == 0 {
-		return pkgs
-	}
-	type matcher struct {
+// matcher reports whether a file lies in a package matching the
+// ./-relative patterns. No patterns, or any "./..."/"..." pattern,
+// matches everything.
+func matcher(root string, patterns []string) func(file string) bool {
+	type pattern struct {
 		prefix  string // cleaned relative dir ("" = module root)
 		subtree bool
 	}
-	var ms []matcher
+	var ps []pattern
 	for _, p := range patterns {
 		p = filepath.ToSlash(p)
 		sub := false
@@ -157,29 +159,27 @@ func filterPackages(pkgs []*analysis.Package, root string, patterns []string) []
 		if p == "." {
 			p = ""
 		}
-		if p == "" && sub {
-			return pkgs
-		}
-		ms = append(ms, matcher{prefix: p, subtree: sub})
+		ps = append(ps, pattern{prefix: p, subtree: sub})
 	}
-	var kept []*analysis.Package
-	for _, pkg := range pkgs {
-		rel, err := filepath.Rel(root, pkg.Dir)
+	return func(file string) bool {
+		if len(ps) == 0 {
+			return true
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(file))
 		if err != nil {
-			continue
+			return false
 		}
 		rel = filepath.ToSlash(rel)
 		if rel == "." {
 			rel = ""
 		}
-		for _, m := range ms {
-			if rel == m.prefix || (m.subtree && strings.HasPrefix(rel, m.prefix+"/")) {
-				kept = append(kept, pkg)
-				break
+		for _, p := range ps {
+			if rel == p.prefix || (p.subtree && (p.prefix == "" || strings.HasPrefix(rel, p.prefix+"/"))) {
+				return true
 			}
 		}
+		return false
 	}
-	return kept
 }
 
 // findModuleRoot walks up from the working directory to the nearest

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -56,7 +57,8 @@ func TestListFlag(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("spatialvet -list = exit %d, want 0", code)
 	}
-	for _, name := range analysis.AnalyzerNames() {
+	for _, a := range analysis.Analyzers() {
+		name := a.Name
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, stdout)
 		}
@@ -87,14 +89,18 @@ func TestJSONSarifExclusive(t *testing.T) {
 	}
 }
 
-// runInModule writes files into a fresh temp module, chdirs there, and
-// runs spatialvet with args.
+// runInModule writes files (slash paths) into a fresh temp module,
+// chdirs there, and runs spatialvet with args.
 func runInModule(t *testing.T, files map[string]string, args ...string) (code int, stdout string) {
 	t.Helper()
 	dir := t.TempDir()
 	files["go.mod"] = "module tmpmod\n\ngo 1.22\n"
 	for name, src := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,5 +214,87 @@ func TestJSONDeterministic(t *testing.T) {
 	c2, o2 := runOnce()
 	if c1 != c2 || o1 != o2 {
 		t.Errorf("two -json runs differ: exit %d vs %d\n--- run 1\n%s\n--- run 2\n%s", c1, c2, o1, o2)
+	}
+}
+
+// decode parses -json output.
+func decode(t *testing.T, stdout string) []analysis.JSONDiagnostic {
+	t.Helper()
+	var diags []analysis.JSONDiagnostic
+	if err := json.Unmarshal([]byte(stdout), &diags); err != nil {
+		t.Fatalf("-json output does not parse: %v\n%s", err, stdout)
+	}
+	return diags
+}
+
+// underDir keeps the findings in files under the module-relative dir.
+func underDir(diags []analysis.JSONDiagnostic, dir string) []analysis.JSONDiagnostic {
+	out := []analysis.JSONDiagnostic{}
+	for _, d := range diags {
+		if strings.HasPrefix(d.File, dir+"/") {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// TestSubtreeRunSeesWholeModule pins that a package pattern filters the
+// findings, not the analysis: the interprocedural analyzers must see
+// the whole module's call graph, or a subtree run reports stale
+// suppressions and misses cross-package findings.
+func TestSubtreeRunSeesWholeModule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and type-checks the whole module twice")
+	}
+	runJSON := func(pattern string) (int, []analysis.JSONDiagnostic) {
+		var code int
+		stdout := capture(t, func(out *os.File) {
+			capture(t, func(errf *os.File) {
+				code = run([]string{"-json", pattern}, out, errf)
+			})
+		})
+		return code, decode(t, stdout)
+	}
+	code, sub := runJSON("./internal/stream/...")
+	if code != 0 {
+		t.Errorf("spatialvet ./internal/stream/... = exit %d, want 0: %+v", code, sub)
+	}
+	_, all := runJSON("./...")
+	if want := underDir(all, "internal/stream"); !reflect.DeepEqual(sub, want) {
+		t.Errorf("subtree findings %+v, want the full run's findings under internal/stream %+v", sub, want)
+	}
+}
+
+// TestSubtreeRunCrossPackageFindings runs a subtree of a module whose
+// findings depend on code outside it: ctxflow's handler and deadexport's
+// main live in other packages.
+func TestSubtreeRunCrossPackageFindings(t *testing.T) {
+	files := func() map[string]string {
+		return map[string]string{
+			"main.go": "package main\n\nimport \"tmpmod/internal/lib\"\n\nfunc main() { lib.Used() }\n",
+			"internal/server/h.go": "package server\n\nimport (\n\t\"net/http\"\n\n\t\"tmpmod/internal/lib\"\n)\n\n" +
+				"func init() { http.HandleFunc(\"/\", handle) }\n\nfunc handle(w http.ResponseWriter, r *http.Request) { lib.Detach() }\n",
+			"internal/lib/lib.go": "package lib\n\nimport \"context\"\n\nfunc Used() {}\n\nfunc Unused() {}\n\n" +
+				"func Detach() context.Context { return context.Background() }\n",
+		}
+	}
+	code, stdout := runInModule(t, files(), "-json", "./internal/lib/...")
+	sub := decode(t, stdout)
+	_, stdout = runInModule(t, files(), "-json", "./...")
+	if want := underDir(decode(t, stdout), "internal/lib"); code != 1 || !reflect.DeepEqual(sub, want) {
+		t.Fatalf("subtree run = exit %d, %+v; want exit 1 and the full run's findings under internal/lib %+v", code, sub, want)
+	}
+	var got []string
+	for _, d := range sub {
+		got = append(got, d.Analyzer+" "+d.Message)
+	}
+	joined := strings.Join(got, "\n")
+	for _, want := range []string{"ctxflow context.Background()", "deadexport lib.Unused is reachable"} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("subtree findings lack %q:\n%s", want, joined)
+		}
+	}
+	if strings.Contains(joined, "lib.Used ") {
+		t.Errorf("subtree run flags lib.Used, which main calls:\n%s", joined)
 	}
 }

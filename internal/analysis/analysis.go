@@ -31,10 +31,13 @@ import (
 // invoked once per package; interprocedural analyzers set RunModule and
 // are invoked once over the whole load with the shared call graph.
 type Analyzer struct {
-	Name      string // short lower-case identifier used in output and directives
-	Doc       string // one-line description of the guarded invariant
-	Run       func(*Pass)
-	RunModule func(*ModulePass)
+	Name string // short lower-case identifier used in output and directives
+	Doc  string // one-line description of the guarded invariant
+	// Categories, when set, lists the justifications a suppression may
+	// give: the reason must start with one of them.
+	Categories []string
+	Run        func(*Pass)
+	RunModule  func(*ModulePass)
 }
 
 // Config carries the repo-specific knowledge the analyzers need. The
@@ -60,6 +63,10 @@ type Config struct {
 	// suites; direct time.Now/Sleep/After/... there silently escapes the
 	// fake clock and is flagged by clockdirect.
 	ClockPkgs []string
+	// Facade is the import path of the public facade package. Its
+	// exported functions, and the exported methods of every type it
+	// declares or re-exports by alias, are deadexport roots.
+	Facade string
 }
 
 // DefaultConfig returns the configuration spatialvet runs with over
@@ -72,7 +79,6 @@ func DefaultConfig() Config {
 			// stream.Current bug class.
 			"internal/core.Repartition",
 			"internal/core.BuildField",
-			"internal/core.BuildLadder",
 			"internal/core.Extract",
 			"internal/core.QuadtreeExtract",
 			"internal/core.AllocateFeatures",
@@ -101,12 +107,14 @@ func DefaultConfig() Config {
 			// wal injects Options.Now for the interval sync policy.
 			"internal/wal",
 		},
+		Facade: "spatialrepart",
 	}
 }
 
 // Analyzers returns the full suite in a stable order: the eight
 // per-function analyzers first, then the five interprocedural/concurrency
-// analyzers built for the multi-shard serving path.
+// analyzers built for the multi-shard serving path, then deadexport,
+// which keeps code that only tests reach out of production files.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		analyzerMapOrder,
@@ -122,16 +130,8 @@ func Analyzers() []*Analyzer {
 		analyzerClockDirect,
 		analyzerGoroLeak,
 		analyzerAtomicMix,
+		analyzerDeadExport,
 	}
-}
-
-// AnalyzerNames returns the names of every analyzer in the suite.
-func AnalyzerNames() []string {
-	var names []string
-	for _, a := range Analyzers() {
-		names = append(names, a.Name)
-	}
-	return names
 }
 
 // Diagnostic is one finding, positioned and attributed to an analyzer.

@@ -3,8 +3,8 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -49,6 +49,7 @@ type FuncNode struct {
 
 	body  *ast.BlockStmt
 	calls []*CallSite
+	refs  []*FuncNode // values taken in body; see refsIn
 }
 
 // Body returns the node's body; nil for bodiless declarations.
@@ -59,10 +60,13 @@ func (n *FuncNode) Calls() []*CallSite { return n.calls }
 
 // CallSite is one call expression inside a node, with its resolved
 // module-internal callees (sorted by ID; empty for calls that only
-// target the standard library or builtins).
+// target the standard library or builtins). Dynamic marks a call
+// through a function-typed value, whose callees are every
+// signature-compatible taken function rather than a known target.
 type CallSite struct {
 	Call    *ast.CallExpr
 	Callees []*FuncNode
+	Dynamic bool
 }
 
 // CallGraph is the module-wide graph.
@@ -70,47 +74,51 @@ type CallGraph struct {
 	// Nodes is every node, sorted by ID.
 	Nodes []*FuncNode
 
-	byID  map[string]*FuncNode
+	// initRefs is every module function a package-level declaration
+	// calls or references: the work of package initialization.
+	initRefs []*FuncNode
+
 	byObj map[*types.Func]*FuncNode
 	byLit map[*ast.FuncLit]*FuncNode
 }
-
-// NodeOf returns the node for a declared function or method, or nil.
-func (g *CallGraph) NodeOf(obj *types.Func) *FuncNode { return g.byObj[obj] }
-
-// Node returns the node with the given ID, or nil.
-func (g *CallGraph) Node(id string) *FuncNode { return g.byID[id] }
 
 // ReachableFrom returns the set of nodes reachable from roots over call
 // edges, including the roots themselves.
 func (g *CallGraph) ReachableFrom(roots []*FuncNode) map[*FuncNode]bool {
 	seen := make(map[*FuncNode]bool)
-	var stack []*FuncNode
-	for _, r := range roots {
-		if r != nil && !seen[r] {
-			seen[r] = true
-			stack = append(stack, r)
+	reach(roots, seen, func(n *FuncNode, visit func(*FuncNode)) {
+		for _, cs := range n.calls {
+			for _, callee := range cs.Callees {
+				visit(callee)
+			}
 		}
+	})
+	return seen
+}
+
+// reach adds to seen every node reachable from roots over the edges
+// that next enumerates, roots included.
+func reach(roots []*FuncNode, seen map[*FuncNode]bool, next func(n *FuncNode, visit func(*FuncNode))) {
+	var stack []*FuncNode
+	visit := func(m *FuncNode) {
+		if m != nil && !seen[m] {
+			seen[m] = true
+			stack = append(stack, m)
+		}
+	}
+	for _, r := range roots {
+		visit(r)
 	}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, cs := range n.calls {
-			for _, callee := range cs.Callees {
-				if !seen[callee] {
-					seen[callee] = true
-					stack = append(stack, callee)
-				}
-			}
-		}
+		next(n, visit)
 	}
-	return seen
 }
 
 // BuildCallGraph constructs the graph over the given packages.
 func BuildCallGraph(pkgs []*Package) *CallGraph {
 	g := &CallGraph{
-		byID:  make(map[string]*FuncNode),
 		byObj: make(map[*types.Func]*FuncNode),
 		byLit: make(map[*ast.FuncLit]*FuncNode),
 	}
@@ -121,18 +129,13 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 		ifaceCache: make(map[ifaceKey][]*FuncNode),
 	}
 	// Three ordered sweeps: create every node first (so cross-package
-	// static calls resolve), then record address-taken functions (so
-	// dynamic calls resolve), then resolve call sites.
+	// static calls resolve), then record references (so dynamic calls
+	// resolve), then resolve call sites.
 	for _, pkg := range pkgs {
 		b.collectNodes(pkg)
 	}
 	sort.Slice(g.Nodes, func(i, j int) bool { return g.Nodes[i].ID < g.Nodes[j].ID })
-	for _, pkg := range pkgs {
-		b.collectTaken(pkg)
-	}
-	for _, list := range b.taken {
-		sort.Slice(list, func(i, j int) bool { return list[i].ID < list[j].ID })
-	}
+	b.collectRefs()
 	b.collectNamedTypes()
 	for _, n := range g.Nodes {
 		b.resolveCalls(n)
@@ -181,7 +184,6 @@ func (b *graphBuilder) collectNodes(pkg *Package) {
 			}
 			id := funcID(pkg.Path, obj)
 			node := &FuncNode{ID: id, Pkg: pkg, Obj: obj, Sig: obj.Type().(*types.Signature), body: fd.Body}
-			b.graph.byID[id] = node
 			b.graph.byObj[obj] = node
 			b.graph.Nodes = append(b.graph.Nodes, node)
 			if fd.Body != nil {
@@ -209,7 +211,6 @@ func (b *graphBuilder) collectLitNodes(pkg *Package, parentID string, root ast.N
 			id := fmt.Sprintf("%s$%d", parent, n)
 			sig, _ := pkg.Info.Types[lit].Type.(*types.Signature)
 			child := &FuncNode{ID: id, Pkg: pkg, Lit: lit, Sig: sig, body: lit.Body}
-			b.graph.byID[id] = child
 			b.graph.byLit[lit] = child
 			b.graph.Nodes = append(b.graph.Nodes, child)
 			walk(lit.Body, id)
@@ -238,71 +239,84 @@ func funcID(pkgPath string, obj *types.Func) string {
 	return pkgPath + "." + obj.Name()
 }
 
-// collectTaken records every module function whose value is referenced
-// outside a direct call position — the candidates for dynamic calls.
-func (b *graphBuilder) collectTaken(pkg *Package) {
-	// callFuns marks expressions that are the Fun of a call (or the
-	// called expression of a go/defer statement); references there are
-	// direct calls, not taken values.
+// refsIn returns what root references as a value: module functions
+// named outside call position (anywhere, with calls) and the function
+// literals directly inside it that are not invoked on the spot. A
+// literal's body is its own node's business.
+func (b *graphBuilder) refsIn(pkg *Package, root ast.Node, calls bool) []*FuncNode {
 	callFuns := make(map[ast.Expr]bool)
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
+	if !calls {
+		ast.Inspect(root, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
 				callFuns[ast.Unparen(call.Fun)] = true
 			}
 			return true
 		})
 	}
-	add := func(node *FuncNode, sig *types.Signature) {
-		if node == nil || sig == nil {
-			return
-		}
-		key := strippedSigString(sig)
-		for _, have := range b.taken[key] {
-			if have == node {
-				return
+	var out []*FuncNode
+	mark := func(e ast.Expr, id *ast.Ident) {
+		if fn, ok := pkg.Info.Uses[id].(*types.Func); ok && !callFuns[e] {
+			if node := b.graph.byObj[fn.Origin()]; node != nil {
+				out = append(out, node)
 			}
 		}
-		b.taken[key] = append(b.taken[key], node)
 	}
-	mark := func(obj types.Object) {
-		fn, ok := obj.(*types.Func)
-		if !ok {
-			return
-		}
-		if node := b.graph.byObj[fn]; node != nil {
-			add(node, fn.Type().(*types.Signature))
-		}
-	}
-	// visit never descends into a SelectorExpr's Sel, so a called or
-	// selected function name is not mistaken for a taken value.
+	// visit never descends into a SelectorExpr's Sel, so a selected
+	// name is judged once, as the whole selector.
 	var visit func(n ast.Node) bool
 	visit = func(n ast.Node) bool {
 		switch x := n.(type) {
+		case *ast.FuncLit:
+			if node := b.graph.byLit[x]; node != nil && !callFuns[ast.Expr(x)] {
+				out = append(out, node)
+			}
+			return false
 		case *ast.Ident:
-			if !callFuns[ast.Expr(x)] {
-				mark(pkg.Info.Uses[x])
-			}
+			mark(x, x)
 		case *ast.SelectorExpr:
-			if !callFuns[ast.Expr(x)] {
-				mark(pkg.Info.Uses[x.Sel])
-			}
+			mark(x, x.Sel)
 			ast.Inspect(x.X, visit)
 			return false
-		case *ast.FuncLit:
-			// A literal not in call position can flow anywhere its
-			// signature fits (assigned to a variable, passed as a
-			// callback): register it as a dynamic-call candidate.
-			if !callFuns[ast.Expr(x)] {
-				if node := b.graph.byLit[x]; node != nil {
-					add(node, node.Sig)
-				}
-			}
 		}
 		return true
 	}
-	for _, f := range pkg.Files {
-		ast.Inspect(f, visit)
+	ast.Inspect(root, visit)
+	return out
+}
+
+// collectRefs fills every node's refs and the graph's initRefs, and
+// indexes each referenced function by its receiver-stripped signature
+// as a candidate target for calls through function values.
+func (b *graphBuilder) collectRefs() {
+	addTaken := func(refs []*FuncNode) {
+		for _, node := range refs {
+			if node.Sig == nil {
+				continue
+			}
+			key := strippedSigString(node.Sig)
+			if !slices.Contains(b.taken[key], node) {
+				b.taken[key] = append(b.taken[key], node)
+			}
+		}
+	}
+	for _, n := range b.graph.Nodes {
+		if n.body != nil {
+			n.refs = b.refsIn(n.Pkg, n.body, false)
+			addTaken(n.refs)
+		}
+	}
+	for _, pkg := range b.pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if _, isFunc := decl.(*ast.FuncDecl); !isFunc {
+					addTaken(b.refsIn(pkg, decl, false))
+					b.graph.initRefs = append(b.graph.initRefs, b.refsIn(pkg, decl, true)...)
+				}
+			}
+		}
+	}
+	for _, list := range b.taken {
+		sort.Slice(list, func(i, j int) bool { return list[i].ID < list[j].ID })
 	}
 }
 
@@ -360,8 +374,8 @@ func (b *graphBuilder) resolveCalls(node *FuncNode) {
 		if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 			return true // conversion, not a call
 		}
-		callees := b.calleesOf(node.Pkg, call)
-		node.calls = append(node.calls, &CallSite{Call: call, Callees: callees})
+		callees, dynamic := b.calleesOf(node.Pkg, call)
+		node.calls = append(node.calls, &CallSite{Call: call, Callees: callees, Dynamic: dynamic})
 		return true
 	})
 	sort.SliceStable(node.calls, func(i, j int) bool {
@@ -369,58 +383,59 @@ func (b *graphBuilder) resolveCalls(node *FuncNode) {
 	})
 }
 
-// calleesOf resolves one call expression to its module-internal targets.
-func (b *graphBuilder) calleesOf(pkg *Package, call *ast.CallExpr) []*FuncNode {
+// calleesOf resolves one call expression to its module-internal targets,
+// reporting whether it is a call through a function-typed value.
+func (b *graphBuilder) calleesOf(pkg *Package, call *ast.CallExpr) (callees []*FuncNode, dynamic bool) {
 	fun := ast.Unparen(call.Fun)
 	switch f := fun.(type) {
 	case *ast.Ident:
 		switch obj := pkg.Info.Uses[f].(type) {
 		case *types.Builtin:
-			return nil
+			return nil, false
 		case *types.Func:
-			return b.staticTarget(obj)
+			return b.staticTarget(obj), false
 		}
 		// A function-typed variable or parameter: dynamic.
-		return b.dynamicTargets(pkg, fun)
+		return b.dynamicTargets(pkg, fun), true
 	case *ast.SelectorExpr:
 		if sel, ok := pkg.Info.Selections[f]; ok && sel.Kind() == types.MethodVal {
 			fn := sel.Obj().(*types.Func)
 			if _, isIface := sel.Recv().Underlying().(*types.Interface); isIface {
-				return b.interfaceTargets(sel.Recv().Underlying().(*types.Interface), fn.Name())
+				return b.interfaceTargets(sel.Recv().Underlying().(*types.Interface), fn.Name()), false
 			}
 			// Concrete method (possibly promoted through embedding): if the
 			// receiver's own method set routes through an embedded interface
 			// field, the method object belongs to the interface and has no
 			// body node; fall back to dispatch on that interface.
 			if targets := b.staticTarget(fn); targets != nil {
-				return targets
+				return targets, false
 			}
 			if recvIface, ok := fn.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface); ok {
-				return b.interfaceTargets(recvIface, fn.Name())
+				return b.interfaceTargets(recvIface, fn.Name()), false
 			}
-			return nil
+			return nil, false
 		}
 		if fn, ok := pkg.Info.Uses[f.Sel].(*types.Func); ok {
 			// Package-qualified call (other package's function).
-			return b.staticTarget(fn)
+			return b.staticTarget(fn), false
 		}
 		// Function-typed struct field or similar: dynamic.
-		return b.dynamicTargets(pkg, fun)
+		return b.dynamicTargets(pkg, fun), true
 	case *ast.FuncLit:
 		// Immediately invoked literal.
 		if n := b.graph.byLit[f]; n != nil {
-			return []*FuncNode{n}
+			return []*FuncNode{n}, false
 		}
-		return nil
+		return nil, false
 	default:
-		return b.dynamicTargets(pkg, fun)
+		return b.dynamicTargets(pkg, fun), true
 	}
 }
 
 // staticTarget returns the single module node for fn, or nil when fn is
 // external (standard library) or bodiless.
 func (b *graphBuilder) staticTarget(fn *types.Func) []*FuncNode {
-	if node := b.graph.byObj[fn]; node != nil {
+	if node := b.graph.byObj[fn.Origin()]; node != nil {
 		return []*FuncNode{node}
 	}
 	return nil
@@ -470,29 +485,9 @@ func (b *graphBuilder) interfaceTargets(iface *types.Interface, m string) []*Fun
 	return out
 }
 
-// enclosingNamed strips closure suffixes from a node ID: "pkg.Fn$1$2"
-// -> "pkg.Fn". Used for display in interprocedural messages.
-func enclosingNamed(id string) string {
-	if i := strings.IndexByte(id, '$'); i >= 0 {
-		return id[:i]
-	}
-	return id
-}
-
 // shortNodeName renders a node ID for humans: the last path component of
 // the package plus the function name ("stream.(*Repartitioner).recompute").
 func shortNodeName(id string) string {
 	slash := strings.LastIndexByte(id, '/')
 	return id[slash+1:]
-}
-
-// PosOf returns the position of n's declaration (the func keyword).
-func (g *CallGraph) PosOf(n *FuncNode) token.Position {
-	switch {
-	case n.Lit != nil:
-		return n.Pkg.Fset.Position(n.Lit.Pos())
-	case n.Obj != nil:
-		return n.Pkg.Fset.Position(n.Obj.Pos())
-	}
-	return token.Position{}
 }

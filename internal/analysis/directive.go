@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -31,10 +32,10 @@ type directive struct {
 // analyzer or reason) are returned as diagnostics from the
 // pseudo-analyzer "directive" rather than silently ignored.
 func directivesAndMisuses(pkg *Package, analyzers []*Analyzer) ([]directive, []Diagnostic) {
-	known := make(map[string]bool, len(analyzers))
+	known := make(map[string]*Analyzer, len(analyzers))
 	var knownNames []string
 	for _, a := range analyzers {
-		known[a.Name] = true
+		known[a.Name] = a
 		knownNames = append(knownNames, a.Name)
 	}
 	var dirs []directive
@@ -55,7 +56,7 @@ func directivesAndMisuses(pkg *Package, analyzers []*Analyzer) ([]directive, []D
 						Analyzer: "directive",
 						Message:  "spatialvet:ignore needs an analyzer name and a reason",
 					})
-				case !known[fields[0]]:
+				case known[fields[0]] == nil:
 					misuses = append(misuses, Diagnostic{
 						Pos:      pos,
 						Analyzer: "directive",
@@ -67,6 +68,13 @@ func directivesAndMisuses(pkg *Package, analyzers []*Analyzer) ([]directive, []D
 						Pos:      pos,
 						Analyzer: "directive",
 						Message:  fmt.Sprintf("spatialvet:ignore %s needs a reason", fields[0]),
+					})
+				case len(known[fields[0]].Categories) > 0 && !slices.Contains(known[fields[0]].Categories, fields[1]):
+					misuses = append(misuses, Diagnostic{
+						Pos:      pos,
+						Analyzer: "directive",
+						Message: fmt.Sprintf("spatialvet:ignore %s reason must start with a category: one of %s",
+							fields[0], strings.Join(known[fields[0]].Categories, ", ")),
 					})
 				default:
 					dirs = append(dirs, directive{analyzer: fields[0], file: pos.Filename, line: pos.Line, pos: pos})

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"go/token"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -13,7 +14,9 @@ import (
 // the diagnostics against `// want "substring"` comments: every want
 // must be matched by a diagnostic on its line, and every diagnostic
 // must be claimed by a want. A `// want` comment may carry several
-// quoted substrings when one line produces several findings.
+// quoted substrings when one line produces several findings; a
+// `/* want ... */` block comment lets a want share its line with a
+// directive comment.
 
 func analyzerByName(t *testing.T, name string) *Analyzer {
 	t.Helper()
@@ -26,13 +29,31 @@ func analyzerByName(t *testing.T, name string) *Analyzer {
 	return nil
 }
 
+// loadDir parses and type-checks the single package in dir under the
+// given synthetic import path: the testdata packages live outside the
+// module's package space.
+func loadDir(dir, path string) (*Package, error) {
+	fset := token.NewFileSet()
+	p, _, err := parseDir(fset, dir, path)
+	if err != nil {
+		return nil, err
+	}
+	if p == nil {
+		return nil, fmt.Errorf("analysis: no buildable Go files in %s", dir)
+	}
+	if err := check(p, newChainImporter(fset)); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
 func loadTestPkg(t *testing.T, name string) *Package {
 	t.Helper()
 	dir, err := filepath.Abs(filepath.Join("testdata", "src", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := LoadDir(dir, name)
+	pkg, err := loadDir(dir, name)
 	if err != nil {
 		t.Fatalf("loading testdata package %s: %v", name, err)
 	}
@@ -51,7 +72,9 @@ func wantsOf(t *testing.T, pkg *Package) map[string][]string {
 			for _, c := range cg.List {
 				rest, ok := strings.CutPrefix(c.Text, "// want ")
 				if !ok {
-					continue
+					if rest, ok = strings.CutPrefix(c.Text, "/* want "); !ok {
+						continue
+					}
 				}
 				pos := pkg.Fset.Position(c.Pos())
 				key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
@@ -127,6 +150,8 @@ func TestClockDirectGolden(t *testing.T) {
 	runGolden(t, "clockdirect", Config{ClockPkgs: []string{"clockdirect"}})
 }
 
+func TestDeadExportGolden(t *testing.T) { runGolden(t, "deadexport", Config{}) }
+
 func TestCtxFlowGolden(t *testing.T) {
 	runGolden(t, "ctxflow", Config{HandlerPkgs: []string{"ctxflow"}})
 }
@@ -195,7 +220,8 @@ func TestSuppressionDirectives(t *testing.T) {
 // empty analyzer names would make suppressions ambiguous.
 func TestAnalyzerNamesUnique(t *testing.T) {
 	seen := map[string]bool{}
-	for _, name := range AnalyzerNames() {
+	for _, a := range Analyzers() {
+		name := a.Name
 		if name == "" {
 			t.Error("analyzer with empty name")
 		}

@@ -116,24 +116,6 @@ func Load(root string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir parses and type-checks the single package in dir under the
-// given synthetic import path. Used by the golden-file tests to load
-// testdata packages, which live outside the module's package space.
-func LoadDir(dir, path string) (*Package, error) {
-	fset := token.NewFileSet()
-	p, _, err := parseDir(fset, dir, path)
-	if err != nil {
-		return nil, err
-	}
-	if p == nil {
-		return nil, fmt.Errorf("analysis: no buildable Go files in %s", dir)
-	}
-	if err := check(p, newChainImporter(fset)); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // parseDir parses the buildable non-test Go files of one directory.
 // Returns (nil, nil, nil) when the directory holds no buildable files.
 func parseDir(fset *token.FileSet, dir, path string) (*Package, []string, error) {

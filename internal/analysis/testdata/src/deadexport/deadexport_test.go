@@ -1,0 +1,9 @@
+package main
+
+import "testing"
+
+func TestOnlyFromTests(t *testing.T) {
+	if OnlyFromTests() != 1 {
+		t.Fail()
+	}
+}

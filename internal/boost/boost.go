@@ -142,12 +142,6 @@ func FitClassifier(x [][]float64, labels []int, opts Options) (*Classifier, erro
 	return c, nil
 }
 
-// NumRounds returns the number of boosting rounds fitted.
-func (c *Classifier) NumRounds() int { return len(c.stages) }
-
-// Classes returns the sorted distinct labels seen during training.
-func (c *Classifier) Classes() []int { return c.classes }
-
 // scores computes the raw class scores at one query point.
 func (c *Classifier) scores(row []float64) ([]float64, error) {
 	s := make([]float64, len(c.classes))
@@ -179,22 +173,6 @@ func (c *Classifier) Predict(x [][]float64) ([]int, error) {
 			}
 		}
 		out[q] = c.classes[best]
-	}
-	return out, nil
-}
-
-// PredictProba returns the class probability vector (softmax of scores) at
-// each query point, ordered as Classes().
-func (c *Classifier) PredictProba(x [][]float64) ([][]float64, error) {
-	out := make([][]float64, len(x))
-	for q, row := range x {
-		s, err := c.scores(row)
-		if err != nil {
-			return nil, err
-		}
-		p := make([]float64, len(s))
-		softmax(s, p)
-		out[q] = p
 	}
 	return out, nil
 }

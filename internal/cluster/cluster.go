@@ -41,6 +41,8 @@ func NewShard(p Plan, shard int, attrs []grid.Attribute, opts stream.Options) (*
 // streams — the coordinator-free reference implementation the property tests
 // compare the HTTP path against byte for byte. streams[i] must be the shard
 // for band i of the plan.
+//
+//spatialvet:ignore deadexport (b) perfbench's serve stage checks the coordinator's /view against it
 func ViewFromStreams(p Plan, streams []*stream.Repartitioner) (ViewBody, error) {
 	if len(streams) != len(p.Bands) {
 		return ViewBody{}, fmt.Errorf("cluster: %d streams for %d bands", len(streams), len(p.Bands))

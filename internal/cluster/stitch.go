@@ -186,11 +186,13 @@ func validateParent(rows, cols int, group []Fragment) string {
 // the plan's band borders into per-shard fragments that all carry the group's
 // extent as their parent. Stitch(SplitGroups(plan, groups)) reproduces groups
 // exactly — the round-trip identity the property tests pin down.
+//
+//spatialvet:ignore deadexport (a) reference oracle: the stitch round-trip property tests invert Stitch with it
 func SplitGroups(p Plan, groups []StitchedGroup) []Fragment {
 	var out []Fragment
 	for _, g := range groups {
 		for _, b := range p.Bands {
-			r0, r1 := maxInt(g.RowBegin, b.Row0), minInt(g.RowEnd, b.Row1-1)
+			r0, r1 := max(g.RowBegin, b.Row0), min(g.RowEnd, b.Row1-1)
 			if r0 > r1 {
 				continue
 			}
@@ -245,18 +247,4 @@ func copyFloats(v []float64) []float64 {
 		return nil
 	}
 	return append([]float64(nil), v...)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

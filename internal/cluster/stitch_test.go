@@ -145,7 +145,7 @@ func TestSplitStitchRoundTrip(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
 		rows := 2 + rng.Intn(14)
 		cols := 1 + rng.Intn(8)
-		shards := 1 + rng.Intn(minInt(4, rows))
+		shards := 1 + rng.Intn(min(4, rows))
 		p, err := NewPlan(rows, cols, testBounds(), shards)
 		if err != nil {
 			t.Fatal(err)

@@ -38,30 +38,3 @@ func (p *Partition) AdjacencyList() [][]int {
 	}
 	return neighbors
 }
-
-// CellAdjacency returns the 4-neighbor (rook) adjacency list of the raw
-// grid's cells, the structure the "original dataset" experiments feed to
-// spatial ML models.
-func CellAdjacency(rows, cols int) [][]int {
-	out := make([][]int, rows*cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			idx := r*cols + c
-			var n []int
-			if r > 0 {
-				n = append(n, idx-cols)
-			}
-			if r < rows-1 {
-				n = append(n, idx+cols)
-			}
-			if c > 0 {
-				n = append(n, idx-1)
-			}
-			if c < cols-1 {
-				n = append(n, idx+1)
-			}
-			out[idx] = n
-		}
-	}
-	return out
-}

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"spatialrepart/internal/grid"
 )
 
 // bruteForceGroupAdjacency derives group adjacency straight from cell-level
@@ -118,8 +120,10 @@ func TestAdjacencyFig3Shape(t *testing.T) {
 	}
 }
 
+// TestCellAdjacency checks the raw grid's cell adjacency, the identity
+// partition's Algorithm 3 list: rook contiguity, cell ids row-major.
 func TestCellAdjacency(t *testing.T) {
-	adj := CellAdjacency(2, 3)
+	adj := Identity(grid.New(2, 3, uniAttrs())).AdjacencyList()
 	if len(adj) != 6 {
 		t.Fatalf("len = %d, want 6", len(adj))
 	}

@@ -23,14 +23,14 @@ func BenchmarkBuildLadder(b *testing.B) {
 	norm, _ := ds.Grid.Normalized()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildLadder(norm)
+		BuildField(norm).Ladder()
 	}
 }
 
 func BenchmarkExtract(b *testing.B) {
 	ds := datagen.TaxiTripsUni(1, 40, 40)
 	norm, _ := ds.Grid.Normalized()
-	ladder := BuildLadder(norm)
+	ladder := BuildField(norm).Ladder()
 	minVar := ladder.Rung(ladder.Len() / 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -108,7 +108,7 @@ func benchLargeMulti(b *testing.B) *grid.Grid {
 // feature allocation (seedAllocateFeatures below).
 func repartitionSeedReference(g *grid.Grid, threshold float64) *Partition {
 	norm, _ := g.Normalized()
-	ladder := BuildLadder(norm)
+	ladder := BuildField(norm).Ladder()
 	best := Identity(g)
 	try := func(i int) bool {
 		part := Extract(norm, ladder.Rung(i))

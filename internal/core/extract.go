@@ -58,6 +58,8 @@ func Identity(g *grid.Grid) *Partition {
 // (c) the maximal-area rectangle in which every pair of adjacent cells has
 // variation ≤ minAdjVariation. Null cells group only with adjacent null
 // cells. Every cell ends up in exactly one rectangular cell-group.
+//
+//spatialvet:ignore deadexport (a) reference oracle: the varfield tests compare ExtractField against this plain Algorithm 1
 func Extract(norm *grid.Grid, minAdjVariation float64) *Partition {
 	rows, cols := norm.Rows, norm.Cols
 	visited := make([]bool, rows*cols)

@@ -89,30 +89,6 @@ func Homogeneous(g *grid.Grid, k int, mode MergeMode) (*Repartitioned, error) {
 	}, nil
 }
 
-// HomogeneousBest runs the iterative §III-D procedure: starting at merge
-// factor 2 and increasing it while the information loss stays within the
-// threshold. It returns the coarsest factor accepted, or an error if even
-// factor 2 overshoots (the paper's Table V case, where IFL > 0.4 at k = 2).
-func HomogeneousBest(g *grid.Grid, threshold float64, mode MergeMode) (*Repartitioned, int, error) {
-	var best *Repartitioned
-	bestK := 0
-	maxK := max(g.Rows, g.Cols)
-	for k := 2; k <= maxK; k++ {
-		rp, err := Homogeneous(g, k, mode)
-		if err != nil {
-			return nil, 0, err
-		}
-		if rp.IFL > threshold {
-			break
-		}
-		best, bestK = rp, k
-	}
-	if best == nil {
-		return nil, 0, fmt.Errorf("core: homogeneous re-partitioning exceeds IFL threshold %v at the smallest factor", threshold)
-	}
-	return best, bestK, nil
-}
-
 // allocateHomogeneous is Algorithm 2 adapted to blocks that may mix null and
 // non-null cells: only the valid cells contribute to the block's features.
 func allocateHomogeneous(g *grid.Grid, part *Partition) [][]float64 {

@@ -120,20 +120,25 @@ func TestHomogeneousAllNullBlock(t *testing.T) {
 }
 
 func TestHomogeneousBest(t *testing.T) {
-	// Constant grid: any merge factor has IFL 0, so HomogeneousBest runs to
-	// the coarsest factor.
+	// Constant grid: every merge factor has IFL 0, so the §III-D search
+	// (raise the factor while IFL stays within θ) runs to the coarsest.
 	g := grid.New(8, 8, uniAttrs())
 	for r := 0; r < 8; r++ {
 		for c := 0; c < 8; c++ {
 			g.Set(r, c, 0, 5)
 		}
 	}
-	rp, k, err := HomogeneousBest(g, 0.05, MergeBoth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k != 8 || rp.NumGroups() != 1 {
-		t.Errorf("k = %d groups = %d, want 8 and 1", k, rp.NumGroups())
+	for k := 2; k <= 8; k++ {
+		rp, err := Homogeneous(g, k, MergeBoth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rp.IFL > 0.05 {
+			t.Errorf("k = %d: IFL = %v, want within θ = 0.05", k, rp.IFL)
+		}
+		if k == 8 && rp.NumGroups() != 1 {
+			t.Errorf("k = 8: groups = %d, want 1", rp.NumGroups())
+		}
 	}
 }
 
@@ -149,8 +154,12 @@ func TestHomogeneousBestFailsWhenOvershooting(t *testing.T) {
 			g.Set(r, c, 0, v)
 		}
 	}
-	if _, _, err := HomogeneousBest(g, 0.01, MergeBoth); err == nil {
-		t.Error("want error when smallest factor exceeds threshold")
+	rp, err := Homogeneous(g, 2, MergeBoth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rp.IFL <= 0.01 {
+		t.Errorf("IFL at the smallest factor = %v, want > θ = 0.01", rp.IFL)
 	}
 }
 

@@ -92,7 +92,7 @@ func TestQuadtreeRespectsAdjacentPairBound(t *testing.T) {
 func TestQuadtreeVsGreedyGroupCount(t *testing.T) {
 	g := randomUniGrid(31, 16, 16, 0.05)
 	n, _ := g.Normalized()
-	ladder := BuildLadder(n)
+	ladder := BuildField(n).Ladder()
 	if ladder.Len() == 0 {
 		t.Skip("degenerate grid")
 	}

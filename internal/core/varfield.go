@@ -70,9 +70,6 @@ func (f *VariationField) fillRows(norm *grid.Grid, r0, r1 int) {
 	}
 }
 
-// Valid reports whether cell (r, c) of the underlying grid is non-null.
-func (f *VariationField) Valid(r, c int) bool { return f.valid[r*f.Cols+c] }
-
 // Ladder drains the field into the distinct ascending variation ladder —
 // the same values the §III-A1 heap pops produce, without the boxed heap:
 // finite entries are collected, sorted, and deduplicated in place.

@@ -75,7 +75,7 @@ func TestFieldMatchesCellVariation(t *testing.T) {
 				} else if !math.IsInf(f.V[idx], 1) {
 					t.Fatalf("V[%d,%d] (last row) = %v, want +Inf", r, c, f.V[idx])
 				}
-				if f.Valid(r, c) != norm.Valid(r, c) {
+				if f.valid[idx] != norm.Valid(r, c) {
 					t.Fatalf("Valid(%d,%d) mismatch", r, c)
 				}
 			}
@@ -155,7 +155,7 @@ func TestLadderFromFieldMatchesHeapReference(t *testing.T) {
 			}
 		}
 		refLadder := distinctSorted(ref)
-		got := BuildLadder(norm).Values()
+		got := BuildField(norm).Ladder().values
 		if !reflect.DeepEqual(refLadder, got) {
 			t.Fatalf("ladder mismatch: ref %v, got %v", refLadder, got)
 		}

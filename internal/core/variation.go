@@ -17,6 +17,8 @@ import (
 // normalizes attributes first so that wide-range attributes do not dominate.
 // Vectors of different lengths describe incomparable schemas and return
 // +Inf (maximally dissimilar) instead of panicking.
+//
+//spatialvet:ignore deadexport (a) reference oracle: the plain Eq. 1 kernel that FuzzVariation, which CI runs, pins
 func Variation(a, b []float64) float64 {
 	if len(a) != len(b) {
 		return math.Inf(1)
@@ -81,22 +83,8 @@ type VariationLadder struct {
 	values []float64
 }
 
-// BuildLadder computes the variation between every pair of 4-adjacent cells
-// of the normalized grid and returns the distinct ascending ladder. Pairs
-// involving exactly one null cell have infinite variation and are excluded
-// (they can never merge). Implemented as a sort-and-dedupe over the dense
-// VariationField (the §III-A1 min-heap produced the same sequence with far
-// more allocation); callers that also need per-pair lookups should call
-// BuildField once and use VariationField.Ladder.
-func BuildLadder(norm *grid.Grid) *VariationLadder {
-	return BuildField(norm).Ladder()
-}
-
 // Len returns the number of distinct rungs.
 func (l *VariationLadder) Len() int { return len(l.values) }
 
 // Rung returns the i-th smallest distinct adjacent variation.
 func (l *VariationLadder) Rung(i int) float64 { return l.values[i] }
-
-// Values returns the ascending distinct variations (a view, do not modify).
-func (l *VariationLadder) Values() []float64 { return l.values }

@@ -62,7 +62,7 @@ func TestLadderPaperExample2(t *testing.T) {
 		{30, 30, 40}, // (1,0)-(1,1) differ by 0
 	})
 	n, _ := g.Normalized()
-	l := BuildLadder(n)
+	l := BuildField(n).Ladder()
 	if l.Len() < 2 {
 		t.Fatalf("ladder too short: %d", l.Len())
 	}
@@ -80,8 +80,8 @@ func TestLadderExcludesNullValidPairs(t *testing.T) {
 		{2, 3},
 	})
 	n, _ := g.Normalized()
-	l := BuildLadder(n)
-	for _, v := range l.Values() {
+	l := BuildField(n).Ladder()
+	for _, v := range l.values {
 		if math.IsInf(v, 1) {
 			t.Fatal("ladder contains an infinite (null-valid) variation")
 		}
@@ -105,8 +105,8 @@ func TestLadderSortedDistinct(t *testing.T) {
 		}
 		g := uniGrid(vals)
 		n, _ := g.Normalized()
-		l := BuildLadder(n)
-		v := l.Values()
+		l := BuildField(n).Ladder()
+		v := l.values
 		if !sort.Float64sAreSorted(v) {
 			return false
 		}
@@ -125,7 +125,7 @@ func TestLadderSortedDistinct(t *testing.T) {
 func TestLadderSingleCell(t *testing.T) {
 	g := uniGrid([][]float64{{5}})
 	n, _ := g.Normalized()
-	if l := BuildLadder(n); l.Len() != 0 {
+	if l := BuildField(n).Ladder(); l.Len() != 0 {
 		t.Errorf("1x1 grid ladder length = %d, want 0", l.Len())
 	}
 }

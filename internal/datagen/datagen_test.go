@@ -32,7 +32,7 @@ func TestSmoothFieldRange(t *testing.T) {
 func TestSmoothFieldIsAutocorrelated(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	f := smoothField(rng, 24, 24, 3, 3)
-	w := weights.New(core.CellAdjacency(24, 24))
+	w := weights.New(core.Identity(grid.New(24, 24, nil)).AdjacencyList())
 	mi, err := w.MoransI(f.v)
 	if err != nil {
 		t.Fatal(err)

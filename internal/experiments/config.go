@@ -18,9 +18,6 @@ type GridSize struct {
 	Rows, Cols int
 }
 
-// Cells returns rows×cols.
-func (s GridSize) Cells() int { return s.Rows * s.Cols }
-
 // Config parameterizes every experiment runner.
 type Config struct {
 	Seed int64

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 	"time"
@@ -121,6 +120,3 @@ func WriteTable5CSV(w io.Writer, rows []HomogeneousRow) error {
 func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 func durMs(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// formatCSVName is a helper for callers writing one file per experiment.
-func formatCSVName(exp string) string { return fmt.Sprintf("%s.csv", exp) }

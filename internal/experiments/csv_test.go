@@ -81,9 +81,3 @@ func TestWriteTableCSVs(t *testing.T) {
 		t.Error("table5 CSV missing data")
 	}
 }
-
-func TestFormatCSVName(t *testing.T) {
-	if formatCSVName("fig5") != "fig5.csv" {
-		t.Error("bad csv name")
-	}
-}

@@ -290,12 +290,12 @@ func TestDefaultConfig(t *testing.T) {
 	}
 	t.Setenv("REPRO_SCALE", "paper")
 	p := DefaultConfig()
-	if p.Sizes[2].Cells() < 100000 {
+	if s := p.Sizes[2]; s.Rows*s.Cols < 100000 {
 		t.Error("paper scale should reach ≈100k cells")
 	}
 	t.Setenv("REPRO_SCALE", "quick")
 	q := DefaultConfig()
-	if q.Sizes[0].Cells() >= p.Sizes[0].Cells() {
+	if qs, ps := q.Sizes[0], p.Sizes[0]; qs.Rows*qs.Cols >= ps.Rows*ps.Cols {
 		t.Error("quick scale should be smaller")
 	}
 }

@@ -73,11 +73,15 @@ type Injector struct {
 }
 
 // New returns an injector whose per-point PRNGs derive from seed.
+//
+//spatialvet:ignore deadexport (c) test-support hook: the chaos suites build their injectors with it
 func New(seed int64) *Injector {
 	return &Injector{seed: uint64(seed), points: map[string]*point{}}
 }
 
 // Set arms (or re-arms) the named point with a plan, resetting its counters.
+//
+//spatialvet:ignore deadexport (c) test-support hook: the chaos suites arm injection points with it
 func (in *Injector) Set(name string, p Plan) {
 	if in == nil {
 		return
@@ -142,6 +146,8 @@ func (in *Injector) hit(name string) error {
 
 // Stats returns how many times the named point was hit and how many of those
 // hits fired. Zero for unarmed points and nil injectors.
+//
+//spatialvet:ignore deadexport (c) test-support hook: the chaos suites read hit counts with it
 func (in *Injector) Stats(name string) (hits, fired int64) {
 	if in == nil {
 		return 0, 0

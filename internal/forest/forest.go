@@ -110,9 +110,6 @@ func FitForest(x [][]float64, y []float64, opts Options) (*Forest, error) {
 	return f, nil
 }
 
-// NumTrees returns the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.trees) }
-
 // Predict averages the tree predictions at each query point.
 func (f *Forest) Predict(x [][]float64) ([]float64, error) {
 	out := make([]float64, len(x))

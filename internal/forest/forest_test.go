@@ -98,8 +98,8 @@ func TestForestErrors(t *testing.T) {
 	}
 	x, y := synth(5, 50)
 	f, _ := FitForest(x, y, Options{NumTrees: 5, Seed: 1})
-	if f.NumTrees() != 5 {
-		t.Errorf("NumTrees = %d, want 5", f.NumTrees())
+	if len(f.trees) != 5 {
+		t.Errorf("NumTrees = %d, want 5", len(f.trees))
 	}
 	if _, err := f.Predict([][]float64{{1}}); err == nil {
 		t.Error("want predict arity error")

@@ -121,9 +121,9 @@ func TestNormalizedProperties(t *testing.T) {
 	if n.At(0, 1, 0) != 0.5 {
 		t.Errorf("attr 0 midpoint = %v, want 0.5", n.At(0, 1, 0))
 	}
-	// Denormalize round-trips.
+	// The ranges map normalized values back to the original scale.
 	for c := 0; c < 3; c++ {
-		got := Denormalize(n.At(0, c, 1), ranges[1])
+		got := ranges[1].Min + n.At(0, c, 1)*(ranges[1].Max-ranges[1].Min)
 		if math.Abs(got-g.At(0, c, 1)) > 1e-12 {
 			t.Errorf("denormalize(%d) = %v, want %v", c, got, g.At(0, c, 1))
 		}

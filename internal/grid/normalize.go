@@ -35,9 +35,3 @@ func (g *Grid) Normalized() (*Grid, []AttrRange) {
 	}
 	return out, ranges
 }
-
-// Denormalize maps a normalized attribute value back to the original scale
-// given the attribute's range.
-func Denormalize(v float64, rng AttrRange) float64 {
-	return rng.Min + v*(rng.Max-rng.Min)
-}

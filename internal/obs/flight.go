@@ -37,19 +37,17 @@ type SpanEvent struct {
 // flightShard is one ring: buf grows to cap once, then next points at the
 // oldest entry, which the following record overwrites.
 type flightShard struct {
-	mu       sync.Mutex
-	buf      []SpanEvent
-	next     int
-	recorded int64
+	mu   sync.Mutex
+	buf  []SpanEvent
+	next int
 }
 
 // FlightRecorder retains the most recent completed spans in a fixed-capacity
 // lock-sharded ring buffer. All methods are safe for concurrent use and
 // nil-safe (a nil recorder records nothing and snapshots empty).
 type FlightRecorder struct {
-	shards  [flightShards]flightShard
-	perCap  int
-	dropped Counter
+	shards [flightShards]flightShard
+	perCap int
 }
 
 // NewFlightRecorder returns a recorder retaining up to `capacity` spans
@@ -63,14 +61,6 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	return &FlightRecorder{perCap: per}
 }
 
-// Cap returns the total number of spans the recorder can hold.
-func (fr *FlightRecorder) Cap() int {
-	if fr == nil {
-		return 0
-	}
-	return fr.perCap * flightShards
-}
-
 // Record deposits one completed span, overwriting the oldest span of its
 // shard when the shard ring is full.
 func (fr *FlightRecorder) Record(e SpanEvent) {
@@ -79,56 +69,13 @@ func (fr *FlightRecorder) Record(e SpanEvent) {
 	}
 	sh := &fr.shards[int(e.Trace[15])&(flightShards-1)]
 	sh.mu.Lock()
-	sh.recorded++
 	if len(sh.buf) < fr.perCap {
 		sh.buf = append(sh.buf, e)
 	} else {
 		sh.buf[sh.next] = e
 		sh.next = (sh.next + 1) % fr.perCap
-		sh.mu.Unlock()
-		fr.dropped.Add(1)
-		return
 	}
 	sh.mu.Unlock()
-}
-
-// Recorded returns the total number of spans ever deposited.
-func (fr *FlightRecorder) Recorded() int64 {
-	if fr == nil {
-		return 0
-	}
-	var n int64
-	for i := range fr.shards {
-		sh := &fr.shards[i]
-		sh.mu.Lock()
-		n += sh.recorded
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// Dropped returns the number of spans that overwrote an older span — exactly
-// Recorded() − Len() at any quiescent point.
-func (fr *FlightRecorder) Dropped() int64 {
-	if fr == nil {
-		return 0
-	}
-	return fr.dropped.Value()
-}
-
-// Len returns the number of spans currently retained.
-func (fr *FlightRecorder) Len() int {
-	if fr == nil {
-		return 0
-	}
-	n := 0
-	for i := range fr.shards {
-		sh := &fr.shards[i]
-		sh.mu.Lock()
-		n += len(sh.buf)
-		sh.mu.Unlock()
-	}
-	return n
 }
 
 // Snapshot copies the retained spans, ordered by start time (ties broken by

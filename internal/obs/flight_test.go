@@ -28,8 +28,7 @@ func spanN(n int) SpanID {
 }
 
 // TestFlightRecorderWraparound: overfilling one shard overwrites its oldest
-// events, newest-wins, and the recorded/dropped/held counters reconcile
-// exactly.
+// events, newest-wins, and the shard holds exactly its capacity.
 func TestFlightRecorderWraparound(t *testing.T) {
 	fr := NewFlightRecorder(flightShards * 4) // 4 events per shard
 	const total = 11                          // all in shard 0: 7 overwrites
@@ -41,22 +40,9 @@ func TestFlightRecorderWraparound(t *testing.T) {
 			Start: int64(i),
 		})
 	}
-	if got := fr.Len(); got != 4 {
-		t.Fatalf("Len = %d, want the shard capacity 4", got)
-	}
-	if got := fr.Recorded(); got != total {
-		t.Fatalf("Recorded = %d, want %d", got, total)
-	}
-	if got := fr.Dropped(); got != total-4 {
-		t.Fatalf("Dropped = %d, want %d", got, total-4)
-	}
-	if fr.Recorded()-int64(fr.Len()) != fr.Dropped() {
-		t.Fatalf("counters do not reconcile: recorded=%d held=%d dropped=%d",
-			fr.Recorded(), fr.Len(), fr.Dropped())
-	}
 	evs := fr.Snapshot()
 	if len(evs) != 4 {
-		t.Fatalf("snapshot holds %d events, want 4", len(evs))
+		t.Fatalf("snapshot holds %d events, want the shard capacity 4", len(evs))
 	}
 	// The survivors are exactly the newest 4, in start order.
 	for i, e := range evs {
@@ -87,8 +73,10 @@ func TestFlightRecorderShardsByTrace(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderConcurrentRecord: concurrent writers, one per shard,
+// each leave exactly their newest shard-capacity events behind.
 func TestFlightRecorderConcurrentRecord(t *testing.T) {
-	fr := NewFlightRecorder(64)
+	fr := NewFlightRecorder(64) // 8 per shard
 	var wg sync.WaitGroup
 	const goroutines, per = 8, 100
 	for g := 0; g < goroutines; g++ {
@@ -101,21 +89,20 @@ func TestFlightRecorderConcurrentRecord(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := fr.Recorded(); got != goroutines*per {
-		t.Fatalf("Recorded = %d, want %d", got, goroutines*per)
+	evs := fr.Snapshot()
+	if len(evs) != 64 {
+		t.Fatalf("snapshot holds %d events, want the capacity 64", len(evs))
 	}
-	if fr.Recorded()-int64(fr.Len()) != fr.Dropped() {
-		t.Fatalf("counters do not reconcile after concurrent records: recorded=%d held=%d dropped=%d",
-			fr.Recorded(), fr.Len(), fr.Dropped())
+	for _, e := range evs {
+		if e.Start < per-8 {
+			t.Fatalf("event %d survived; each shard must keep its writer's newest 8", e.Start)
+		}
 	}
 }
 
 func TestNilFlightRecorder(t *testing.T) {
 	var fr *FlightRecorder
 	fr.Record(SpanEvent{})
-	if fr.Len() != 0 || fr.Recorded() != 0 || fr.Dropped() != 0 || fr.Cap() != 0 {
-		t.Fatal("nil recorder reports non-zero state")
-	}
 	if got := fr.Snapshot(); got != nil {
 		t.Fatalf("nil recorder snapshot = %v, want nil", got)
 	}

@@ -222,6 +222,8 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Count returns the number of observations.
+//
+//spatialvet:ignore deadexport (b) perfbench reads span-histogram counts through it
 func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0

@@ -67,9 +67,6 @@ func FromMembership(g *grid.Grid, assign []int) (*Reduced, error) {
 	}, nil
 }
 
-// NumGroups returns the number of groups.
-func (r *Reduced) NumGroups() int { return len(r.Groups) }
-
 // FromSamples builds a Reduced for a sampling-based baseline: each group is
 // the Voronoi region (over valid cells, by cell-center distance) of one
 // sampled cell, and the group's features are the SAMPLE'S OWN cell vector —

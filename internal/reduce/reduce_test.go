@@ -30,8 +30,8 @@ func TestFromMembershipBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if red.NumGroups() != 2 {
-		t.Fatalf("groups = %d, want 2", red.NumGroups())
+	if len(red.Groups) != 2 {
+		t.Fatalf("groups = %d, want 2", len(red.Groups))
 	}
 	if red.Features[0][0] != 10 || red.Features[1][0] != 20 {
 		t.Errorf("features = %v", red.Features)
@@ -114,8 +114,8 @@ func TestFromSamplesVoronoi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if red.NumGroups() != 2 {
-		t.Fatalf("groups = %d", red.NumGroups())
+	if len(red.Groups) != 2 {
+		t.Fatalf("groups = %d", len(red.Groups))
 	}
 	// Cells 0,1 belong to sample 0; cells 2,3 to sample 3.
 	want := []int{0, 0, 1, 1}

@@ -14,12 +14,12 @@ func TestReduceRegionCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if red.NumGroups() < 20 {
-		t.Errorf("regions = %d, want ≥ 20", red.NumGroups())
+	if len(red.Groups) < 20 {
+		t.Errorf("regions = %d, want ≥ 20", len(red.Groups))
 	}
 	// Regions should not wildly exceed the target (only extra components add).
-	if red.NumGroups() > 30 {
-		t.Errorf("regions = %d, want close to 20", red.NumGroups())
+	if len(red.Groups) > 30 {
+		t.Errorf("regions = %d, want close to 20", len(red.Groups))
 	}
 }
 
@@ -78,8 +78,8 @@ func TestReduceDisconnectedComponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if red.NumGroups() != 2 {
-		t.Errorf("groups = %d, want 2 (one per component)", red.NumGroups())
+	if len(red.Groups) != 2 {
+		t.Errorf("groups = %d, want 2 (one per component)", len(red.Groups))
 	}
 }
 

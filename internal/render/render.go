@@ -49,26 +49,6 @@ func Grid(g *grid.Grid, attr int) string {
 	return sb.String()
 }
 
-// Partition renders a partition's group structure: each cell shows a
-// letter/digit cycling with its group id, so rectangular cell-groups appear
-// as uniform blocks. Null groups render as '·'.
-func Partition(p *core.Partition) string {
-	const alphabet = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-	var sb strings.Builder
-	for r := 0; r < p.Rows; r++ {
-		for c := 0; c < p.Cols; c++ {
-			gi := p.GroupOf(r, c)
-			if p.Groups[gi].Null {
-				sb.WriteRune('·')
-				continue
-			}
-			sb.WriteByte(alphabet[gi%len(alphabet)])
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
 // PartitionBorders renders a partition as box-drawing borders around the
 // rectangular cell-groups: every cell is two characters wide and group
 // boundaries are marked, making the merge structure visible at a glance.

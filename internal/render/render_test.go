@@ -57,17 +57,19 @@ func TestGridConstantAttribute(t *testing.T) {
 	}
 }
 
+// TestPartitionLetters checks that a partition renders one cell row per
+// grid row and marks the null group.
 func TestPartitionLetters(t *testing.T) {
 	g := testGrid()
 	n, _ := g.Normalized()
 	p := core.Extract(n, 1)
-	out := Partition(p)
+	out := PartitionBorders(p)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d", len(lines))
+	if len(lines) != 2*2+1 {
+		t.Fatalf("lines = %d, want 5 (a cell row and a border per grid row, plus the top border)", len(lines))
 	}
-	if !strings.Contains(out, "·") {
-		t.Error("null group should render as ·")
+	if !strings.Contains(lines[3], "··") {
+		t.Error("null group should render as ··")
 	}
 }
 
@@ -103,9 +105,6 @@ func TestRenderLargePartitionDoesNotPanic(t *testing.T) {
 	}
 	n, _ := g.Normalized()
 	p := core.Extract(n, 0.1)
-	if out := Partition(p); len(out) == 0 {
-		t.Error("empty render")
-	}
 	if out := PartitionBorders(p); len(out) == 0 {
 		t.Error("empty border render")
 	}

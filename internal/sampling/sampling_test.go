@@ -14,8 +14,8 @@ func TestReduceBudgetRespected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if red.NumGroups() != budget {
-			t.Errorf("groups = %d, want %d", red.NumGroups(), budget)
+		if len(red.Groups) != budget {
+			t.Errorf("groups = %d, want %d", len(red.Groups), budget)
 		}
 		// Every valid cell is assigned; null cells are not.
 		for idx, gi := range red.Assign {

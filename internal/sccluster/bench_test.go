@@ -29,8 +29,8 @@ func BenchmarkClusterWeighted(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Cluster the reduced groups into 8 weighted clusters.
-	feats := make([][]float64, 0, red.NumGroups())
-	sizes := make([]float64, 0, red.NumGroups())
+	feats := make([][]float64, 0, len(red.Groups))
+	sizes := make([]float64, 0, len(red.Groups))
 	for gi, members := range red.Groups {
 		if red.Features[gi] == nil {
 			continue
@@ -41,7 +41,7 @@ func BenchmarkClusterWeighted(b *testing.B) {
 	adj := red.Adjacency(d.Grid.Rows, d.Grid.Cols)
 	// Compact adjacency to the non-null groups (they are a prefix here only
 	// if no null groups exist; rebuild defensively).
-	idx := make([]int, red.NumGroups())
+	idx := make([]int, len(red.Groups))
 	n := 0
 	for gi := range red.Groups {
 		if red.Features[gi] != nil {

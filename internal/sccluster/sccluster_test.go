@@ -115,8 +115,8 @@ func TestReduceGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if red.NumGroups() < target {
-		t.Errorf("groups = %d, want ≥ %d", red.NumGroups(), target)
+	if len(red.Groups) < target {
+		t.Errorf("groups = %d, want ≥ %d", len(red.Groups), target)
 	}
 	// Contiguity: every group's member cells form one connected component.
 	for gi, members := range red.Groups {

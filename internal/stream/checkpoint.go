@@ -66,6 +66,8 @@ type checkpointState struct {
 // the state is copied, never across the encode or the write, so ingestion
 // and serving continue unstalled. The encoding is byte-deterministic: two
 // checkpoints of identical state are identical files.
+//
+//spatialvet:ignore deadexport (b) perfbench writes checkpoints through it; the checkpoint tests use it too
 func (s *Repartitioner) Checkpoint(w io.Writer) error {
 	_, err := s.CheckpointSeq(w)
 	return err

@@ -691,6 +691,8 @@ func (s *Repartitioner) Stats() Stats {
 }
 
 // Grid returns a snapshot of the current aggregate grid.
+//
+//spatialvet:ignore deadexport (b) perfbench reads the aggregate grid through it
 func (s *Repartitioner) Grid() *grid.Grid {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -59,9 +59,6 @@ type Segment struct {
 	TBeg, TEnd int // inclusive
 }
 
-// Len returns the number of slices in the segment.
-func (s Segment) Len() int { return s.TEnd - s.TBeg + 1 }
-
 // Options configures Repartition.
 type Options struct {
 	// Threshold is the cube-wide information-loss budget θ ∈ [0, 1].

@@ -107,7 +107,7 @@ func TestRepartitionSegmentsCoverAllSlices(t *testing.T) {
 		if s.TBeg != prevEnd+1 {
 			t.Fatalf("segments not contiguous: %v", res.Segments)
 		}
-		covered += s.Len()
+		covered += s.TEnd - s.TBeg + 1
 		prevEnd = s.TEnd
 	}
 	if covered != c.T() {

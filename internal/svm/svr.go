@@ -171,9 +171,6 @@ func FitSVR(x [][]float64, y []float64, opts Options) (*SVR, error) {
 	return m, nil
 }
 
-// NumSupportVectors returns the number of support vectors retained.
-func (m *SVR) NumSupportVectors() int { return len(m.beta) }
-
 // Predict evaluates f(x) = Σ β_i (K(x_i, x) + 1) at each query point.
 func (m *SVR) Predict(x [][]float64) ([]float64, error) {
 	out := make([]float64, len(x))

@@ -77,10 +77,10 @@ func TestSVRSparsity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumSupportVectors() >= n {
-		t.Errorf("support vectors = %d, want < n = %d with a wide tube", m.NumSupportVectors(), n)
+	if len(m.beta) >= n {
+		t.Errorf("support vectors = %d, want < n = %d with a wide tube", len(m.beta), n)
 	}
-	if m.NumSupportVectors() == 0 {
+	if len(m.beta) == 0 {
 		t.Error("no support vectors at all")
 	}
 }

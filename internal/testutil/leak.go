@@ -23,6 +23,8 @@ import (
 // bug — a drain that never finished, a fetch racer with nowhere to send, a
 // forgotten ticker — and without this check it silently survives until some
 // unrelated -race run trips over it.
+//
+//spatialvet:ignore deadexport (c) test-support hook: the server, stream and cluster TestMains call it
 func VerifyNoLeaks(m *testing.M) {
 	code := m.Run()
 	if code == 0 {

@@ -194,26 +194,3 @@ func (t *Tree) Predict(row []float64) (float64, error) {
 		}
 	}
 }
-
-// NumNodes returns the number of nodes in the tree.
-func (t *Tree) NumNodes() int { return len(t.nodes) }
-
-// Depth returns the maximum depth of the tree (a single leaf has depth 0).
-func (t *Tree) Depth() int {
-	var walk func(id int32) int
-	walk = func(id int32) int {
-		n := t.nodes[id]
-		if n.feature < 0 {
-			return 0
-		}
-		l, r := walk(n.left), walk(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	if len(t.nodes) == 0 {
-		return 0
-	}
-	return walk(0)
-}

@@ -40,7 +40,15 @@ func TestTreeRespectsMaxDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := tr.Depth(); d > 3 {
+	// Every root-to-leaf path crosses at most MaxDepth splits.
+	var depth func(id int32) int
+	depth = func(id int32) int {
+		if n := tr.nodes[id]; n.feature >= 0 {
+			return 1 + max(depth(n.left), depth(n.right))
+		}
+		return 0
+	}
+	if d := depth(0); d > 3 {
 		t.Errorf("depth = %d, want ≤ 3", d)
 	}
 }
@@ -78,8 +86,8 @@ func TestTreeConstantTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumNodes() != 1 {
-		t.Errorf("constant target should give a single leaf, got %d nodes", tr.NumNodes())
+	if len(tr.nodes) != 1 {
+		t.Errorf("constant target should give a single leaf, got %d nodes", len(tr.nodes))
 	}
 	v, _ := tr.Predict([]float64{99})
 	if v != 7 {
@@ -140,7 +148,7 @@ func TestTreeMaxFeatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumNodes() == 0 {
+	if len(tr.nodes) == 0 {
 		t.Error("empty tree")
 	}
 }

@@ -152,7 +152,6 @@ type Log struct {
 	segs     []segment // ascending firstSeq; the last one is active
 	f        *os.File  // active segment, positioned at segs[last].size
 	nextSeq  uint64    // sequence the next Append assigns
-	durable  uint64    // highest sequence known fsynced
 	unsynced int       // appends since the last fsync
 	lastSync time.Time
 	err      error // poison: set by a failed write/fsync of unknown extent
@@ -206,9 +205,6 @@ func Open(dir string, opts Options) (*Log, error) {
 		l.f = f
 		l.nextSeq = last.lastSeq + 1
 	}
-	// Everything that survived validation is on disk; it is durable as far
-	// as this process can know.
-	l.durable = l.nextSeq - 1
 	l.publishGauges()
 	return l, nil
 }
@@ -494,6 +490,8 @@ func (l *Log) syncDueLocked() bool {
 
 // Sync forces an fsync of the active segment, making every appended record
 // durable regardless of policy.
+//
+//spatialvet:ignore deadexport (d) safety code: the durability flush, regardless of sync policy
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -525,7 +523,6 @@ func (l *Log) syncLocked() error {
 	l.opts.Obs.Observe("wal.fsync_ns", float64(l.now().Sub(start).Nanoseconds()))
 	l.lastSync = l.now()
 	l.unsynced = 0
-	l.durable = l.nextSeq - 1
 	return nil
 }
 
@@ -626,27 +623,6 @@ func (l *Log) Replay(afterSeq uint64, fn func(seq uint64, payload []byte) error)
 	}
 	l.opts.Obs.Count("wal.replayed", replayed)
 	return nil
-}
-
-// NextSeq returns the sequence the next Append will assign.
-func (l *Log) NextSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextSeq
-}
-
-// DurableSeq returns the highest sequence known to be fsynced.
-func (l *Log) DurableSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.durable
-}
-
-// Segments returns how many segment files the log currently spans.
-func (l *Log) Segments() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.segs)
 }
 
 // Close syncs outstanding appends and closes the active segment. The log

@@ -36,6 +36,14 @@ func appendN(t *testing.T, l *Log, from uint64, n int) {
 	}
 }
 
+// durableSeq returns the highest sequence known to be fsynced: every
+// assigned sequence but the appends since the last fsync.
+func durableSeq(l *Log) uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.nextSeq - 1 - uint64(l.unsynced)
+}
+
 // collect replays records after afterSeq into a map and asserts order and
 // contiguity.
 func collect(t *testing.T, l *Log, afterSeq uint64) map[uint64][]byte {
@@ -62,7 +70,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, l, 1, 25)
-	if got := l.DurableSeq(); got != 25 {
+	if got := durableSeq(l); got != 25 {
 		t.Errorf("DurableSeq = %d, want 25 (sync-every-append)", got)
 	}
 	if err := l.Close(); err != nil {
@@ -74,7 +82,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if got := l2.NextSeq(); got != 26 {
+	if got := l2.nextSeq; got != 26 {
 		t.Fatalf("reopened NextSeq = %d, want 26", got)
 	}
 	got := collect(t, l2, 0)
@@ -104,10 +112,10 @@ func TestSegmentRotationAndTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, l, 1, 40)
-	if l.Segments() < 3 {
-		t.Fatalf("only %d segments after 40 appends at 128-byte rotation", l.Segments())
+	if len(l.segs) < 3 {
+		t.Fatalf("only %d segments after 40 appends at 128-byte rotation", len(l.segs))
 	}
-	segsBefore := l.Segments()
+	segsBefore := len(l.segs)
 
 	// Everything replays across the rotation boundaries.
 	got := collect(t, l, 0)
@@ -119,8 +127,8 @@ func TestSegmentRotationAndTruncation(t *testing.T) {
 	if err := l.TruncateThrough(20); err != nil {
 		t.Fatal(err)
 	}
-	if l.Segments() >= segsBefore {
-		t.Errorf("truncation removed no segments (%d before, %d after)", segsBefore, l.Segments())
+	if len(l.segs) >= segsBefore {
+		t.Errorf("truncation removed no segments (%d before, %d after)", segsBefore, len(l.segs))
 	}
 	suffix := collect(t, l, 20)
 	for i := uint64(21); i <= 40; i++ {
@@ -133,7 +141,7 @@ func TestSegmentRotationAndTruncation(t *testing.T) {
 	if err := l.TruncateThrough(40); err != nil {
 		t.Fatal(err)
 	}
-	if l.Segments() < 1 {
+	if len(l.segs) < 1 {
 		t.Fatal("truncation deleted the active segment")
 	}
 	appendN(t, l, 41, 3)
@@ -184,7 +192,7 @@ func TestTornTailRecovery(t *testing.T) {
 		t.Fatalf("Open failed on a torn tail: %v", err)
 	}
 	defer l2.Close()
-	if got := l2.NextSeq(); got != 11 {
+	if got := l2.nextSeq; got != 11 {
 		t.Fatalf("NextSeq after torn-tail recovery = %d, want 11", got)
 	}
 	got := collect(t, l2, 0)
@@ -205,8 +213,8 @@ func TestCorruptMiddleSegmentDropsSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, l, 1, 30)
-	if l.Segments() < 2 {
-		t.Fatalf("need at least 2 segments, got %d", l.Segments())
+	if len(l.segs) < 2 {
+		t.Fatalf("need at least 2 segments, got %d", len(l.segs))
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -243,8 +251,8 @@ func TestCorruptMiddleSegmentDropsSuffix(t *testing.T) {
 		// Frame 1 was corrupted, so the valid prefix is empty.
 		t.Fatalf("replay after first-frame corruption returned %d records, want 0", len(got))
 	}
-	if l2.Segments() != 1 {
-		t.Errorf("corrupted chain kept %d segments, want 1", l2.Segments())
+	if len(l2.segs) != 1 {
+		t.Errorf("corrupted chain kept %d segments, want 1", len(l2.segs))
 	}
 }
 
@@ -279,18 +287,18 @@ func TestSyncPolicies(t *testing.T) {
 		}
 		defer l.Close()
 		appendN(t, l, 1, 2)
-		if got := l.DurableSeq(); got != 0 {
+		if got := durableSeq(l); got != 0 {
 			t.Errorf("DurableSeq after 2/3 appends = %d, want 0", got)
 		}
 		appendN(t, l, 3, 1)
-		if got := l.DurableSeq(); got != 3 {
+		if got := durableSeq(l); got != 3 {
 			t.Errorf("DurableSeq after 3/3 appends = %d, want 3", got)
 		}
 		appendN(t, l, 4, 1)
 		if err := l.Sync(); err != nil {
 			t.Fatal(err)
 		}
-		if got := l.DurableSeq(); got != 4 {
+		if got := durableSeq(l); got != 4 {
 			t.Errorf("DurableSeq after explicit Sync = %d, want 4", got)
 		}
 	})
@@ -303,12 +311,12 @@ func TestSyncPolicies(t *testing.T) {
 		}
 		defer l.Close()
 		appendN(t, l, 1, 2)
-		if got := l.DurableSeq(); got != 0 {
+		if got := durableSeq(l); got != 0 {
 			t.Errorf("DurableSeq before the interval = %d, want 0", got)
 		}
 		now = now.Add(time.Second)
 		appendN(t, l, 3, 1)
-		if got := l.DurableSeq(); got != 3 {
+		if got := durableSeq(l); got != 3 {
 			t.Errorf("DurableSeq after the interval elapsed = %d, want 3", got)
 		}
 	})
@@ -384,7 +392,7 @@ func TestFaultPoints(t *testing.T) {
 			t.Fatalf("recovered %d records, want the 2 acked ones", len(got))
 		}
 		// The torn sequence was never acked; it is reassigned cleanly.
-		if next := l2.NextSeq(); next != 3 {
+		if next := l2.nextSeq; next != 3 {
 			t.Fatalf("NextSeq after torn recovery = %d, want 3", next)
 		}
 	})
@@ -487,8 +495,8 @@ func TestSegmentTruncationSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendN(t, l, 1, 20)
-	if l.Segments() < 2 {
-		t.Fatalf("sweep needs >= 2 segments, got %d", l.Segments())
+	if len(l.segs) < 2 {
+		t.Fatalf("sweep needs >= 2 segments, got %d", len(l.segs))
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

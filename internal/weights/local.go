@@ -90,52 +90,3 @@ func (w *W) GetisOrdGStar(x []float64) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// QueenNeighbors builds 8-neighbor (queen contiguity) adjacency for a
-// rows×cols lattice — the other standard contiguity criterion spatial
-// weights libraries offer alongside the rook adjacency the framework uses.
-func QueenNeighbors(rows, cols int) *W {
-	neighbors := make([][]int, rows*cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			idx := r*cols + c
-			for dr := -1; dr <= 1; dr++ {
-				for dc := -1; dc <= 1; dc++ {
-					if dr == 0 && dc == 0 {
-						continue
-					}
-					nr, nc := r+dr, c+dc
-					if nr < 0 || nr >= rows || nc < 0 || nc >= cols {
-						continue
-					}
-					neighbors[idx] = append(neighbors[idx], nr*cols+nc)
-				}
-			}
-		}
-	}
-	return New(neighbors)
-}
-
-// RookNeighbors builds 4-neighbor (rook contiguity) adjacency for a
-// rows×cols lattice.
-func RookNeighbors(rows, cols int) *W {
-	neighbors := make([][]int, rows*cols)
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			idx := r*cols + c
-			if r > 0 {
-				neighbors[idx] = append(neighbors[idx], idx-cols)
-			}
-			if r < rows-1 {
-				neighbors[idx] = append(neighbors[idx], idx+cols)
-			}
-			if c > 0 {
-				neighbors[idx] = append(neighbors[idx], idx-1)
-			}
-			if c < cols-1 {
-				neighbors[idx] = append(neighbors[idx], idx+1)
-			}
-		}
-	}
-	return New(neighbors)
-}

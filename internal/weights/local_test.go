@@ -5,11 +5,31 @@ import (
 	"testing"
 )
 
+// lattice builds rook (4-neighbor) or, with queen, 8-neighbor contiguity
+// weights over a rows×cols grid, cells numbered row-major.
+func lattice(rows, cols int, queen bool) *W {
+	neighbors := make([][]int, rows*cols)
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			for dr := -1; dr <= 1; dr++ {
+				for dc := -1; dc <= 1; dc++ {
+					nr, nc := r+dr, c+dc
+					if (dr == 0 && dc == 0) || (!queen && dr != 0 && dc != 0) || nr < 0 || nr >= rows || nc < 0 || nc >= cols {
+						continue
+					}
+					neighbors[r*cols+c] = append(neighbors[r*cols+c], nr*cols+nc)
+				}
+			}
+		}
+	}
+	return New(neighbors)
+}
+
 func TestLocalMoransIDetectsClusters(t *testing.T) {
 	// An 8x8 grid with a hot 3x3 block in the corner: cells inside the block
 	// (and deep in the cold region) get positive LISA; boundary cells between
 	// regimes get negative or small values.
-	w := RookNeighbors(8, 8)
+	w := lattice(8, 8, false)
 	x := make([]float64, 64)
 	for r := 0; r < 3; r++ {
 		for c := 0; c < 3; c++ {
@@ -34,7 +54,7 @@ func TestLocalMoransIDetectsClusters(t *testing.T) {
 }
 
 func TestLocalMoransIErrors(t *testing.T) {
-	w := RookNeighbors(2, 2)
+	w := lattice(2, 2, false)
 	if _, err := w.LocalMoransI([]float64{1}); err == nil {
 		t.Error("want length error")
 	}
@@ -49,7 +69,7 @@ func TestLocalMoransIAveragesToGlobal(t *testing.T) {
 	// weight normalization; our local statistic row-standardizes while the
 	// global Eq. 4 uses binary weights, so boundary-degree effects leave a
 	// modest gap on small lattices.
-	w := RookNeighbors(6, 6)
+	w := lattice(6, 6, false)
 	x := make([]float64, 36)
 	for r := 0; r < 6; r++ {
 		for c := 0; c < 6; c++ {
@@ -78,7 +98,7 @@ func TestLocalMoransIAveragesToGlobal(t *testing.T) {
 }
 
 func TestGetisOrdGStarHotCold(t *testing.T) {
-	w := RookNeighbors(8, 8)
+	w := lattice(8, 8, false)
 	x := make([]float64, 64)
 	for r := 0; r < 3; r++ {
 		for c := 0; c < 3; c++ {
@@ -98,7 +118,7 @@ func TestGetisOrdGStarHotCold(t *testing.T) {
 }
 
 func TestGetisOrdGStarErrors(t *testing.T) {
-	w := RookNeighbors(2, 2)
+	w := lattice(2, 2, false)
 	if _, err := w.GetisOrdGStar([]float64{1}); err == nil {
 		t.Error("want length error")
 	}
@@ -108,8 +128,8 @@ func TestGetisOrdGStarErrors(t *testing.T) {
 }
 
 func TestQueenVsRookNeighborCounts(t *testing.T) {
-	q := QueenNeighbors(3, 3)
-	r := RookNeighbors(3, 3)
+	q := lattice(3, 3, true)
+	r := lattice(3, 3, false)
 	if err := q.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +152,8 @@ func TestQueenVsRookNeighborCounts(t *testing.T) {
 func TestQueenMoranStrongerOnDiagonalPattern(t *testing.T) {
 	// A diagonal-striped pattern is autocorrelated under queen (diagonal
 	// neighbors share values) but anti-correlated under rook.
-	q := QueenNeighbors(8, 8)
-	r := RookNeighbors(8, 8)
+	q := lattice(8, 8, true)
+	r := lattice(8, 8, false)
 	x := make([]float64, 64)
 	for rr := 0; rr < 8; rr++ {
 		for cc := 0; cc < 8; cc++ {

@@ -6,7 +6,6 @@ package weights
 
 import (
 	"fmt"
-	"sort"
 )
 
 // W is a spatial weights object over n instances, stored as adjacency lists
@@ -165,84 +164,4 @@ func (w *W) SpectralRadiusUpperBound() float64 {
 		}
 	}
 	return 0
-}
-
-// DistanceBandNeighbors builds a weights object from point coordinates where
-// two points are neighbors if their Euclidean distance is at most radius.
-// It is used by models that need contiguity for scattered (sampled) data.
-func DistanceBandNeighbors(lat, lon []float64, radius float64) (*W, error) {
-	if len(lat) != len(lon) {
-		return nil, fmt.Errorf("weights: coordinate length mismatch %d vs %d", len(lat), len(lon))
-	}
-	n := len(lat)
-	neighbors := make([][]int, n)
-	r2 := radius * radius
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dlat := lat[i] - lat[j]
-			dlon := lon[i] - lon[j]
-			if dlat*dlat+dlon*dlon <= r2 {
-				neighbors[i] = append(neighbors[i], j)
-				neighbors[j] = append(neighbors[j], i)
-			}
-		}
-	}
-	return New(neighbors), nil
-}
-
-// KNearestNeighbors builds a symmetrized k-nearest-neighbor weights object
-// from point coordinates: i and j are neighbors if either is among the
-// other's k nearest points.
-func KNearestNeighbors(lat, lon []float64, k int) (*W, error) {
-	if len(lat) != len(lon) {
-		return nil, fmt.Errorf("weights: coordinate length mismatch %d vs %d", len(lat), len(lon))
-	}
-	n := len(lat)
-	if k >= n {
-		k = n - 1
-	}
-	if k < 0 {
-		k = 0
-	}
-	adj := make([]map[int]bool, n)
-	for i := range adj {
-		adj[i] = make(map[int]bool, k*2)
-	}
-	type cand struct {
-		idx int
-		d2  float64
-	}
-	for i := 0; i < n; i++ {
-		cands := make([]cand, 0, n-1)
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			dlat, dlon := lat[i]-lat[j], lon[i]-lon[j]
-			cands = append(cands, cand{j, dlat*dlat + dlon*dlon})
-		}
-		// Partial selection of the k smallest.
-		for s := 0; s < k && s < len(cands); s++ {
-			minIdx := s
-			for t := s + 1; t < len(cands); t++ {
-				if cands[t].d2 < cands[minIdx].d2 {
-					minIdx = t
-				}
-			}
-			cands[s], cands[minIdx] = cands[minIdx], cands[s]
-			adj[i][cands[s].idx] = true
-			adj[cands[s].idx][i] = true
-		}
-	}
-	neighbors := make([][]int, n)
-	for i, set := range adj {
-		for j := range set {
-			neighbors[i] = append(neighbors[i], j)
-		}
-	}
-	// Deterministic order.
-	for i := range neighbors {
-		sort.Ints(neighbors[i])
-	}
-	return New(neighbors), nil
 }
